@@ -31,6 +31,7 @@ from .model import (
     OperatorPath,
     Tolerances,
     VnAlgebra,
+    _eigvalsh,
     quotient_norm,
     tau_star,
 )
@@ -59,6 +60,12 @@ TASKS = (
 )
 
 _TRACK_SAMPLES = 201
+
+# Largest accepted modulus of a matrix entry.  A product of two n x n
+# matrices within this bound has entries of modulus at most n MAX_ENTRY^2 =
+# n * 1e300, far from the float64 limit 1.8e308 at any dimension a document
+# can hold, so b @ b and b.conj().T @ b cannot overflow.
+MAX_ENTRY = 1e150
 
 
 # -- canonical JSON -----------------------------------------------------------
@@ -133,6 +140,14 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _number(cast, value: Any, what: str):
+    """``cast(value)``, with a failed or overflowing cast reported as SchemaError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} must be a number, got {value!r}") from exc
+
+
 def decode_algebra(data: Any) -> VnAlgebra:
     _expect(isinstance(data, dict) and "blocks" in data, "algebra needs a blocks list")
     blocks = []
@@ -141,8 +156,8 @@ def decode_algebra(data: Any) -> VnAlgebra:
         try:
             blocks.append(
                 Block(
-                    dim=int(raw["dim"]),
-                    weight=float(raw.get("weight", 1.0)),
+                    dim=_number(int, raw["dim"], f"block {i} dim"),
+                    weight=_number(float, raw.get("weight", 1.0), f"block {i} weight"),
                     in_ideal=bool(raw.get("ideal", True)),
                 )
             )
@@ -169,10 +184,18 @@ def decode_matrix(data: Any, name: str) -> np.ndarray:
                 isinstance(entry, list) and len(entry) == 2,
                 f"operator {name}: entries must be [re, im] pairs",
             )
-            entries.append(complex(float(entry[0]), float(entry[1])))
+            try:
+                entries.append(complex(float(entry[0]), float(entry[1])))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"operator {name}: entry {entry!r} is not a number") from exc
         rows.append(entries)
     mat = np.array(rows, dtype=complex)
     _expect(mat.shape[0] == mat.shape[1], f"operator {name}: matrix is not square")
+    # A NaN entry makes the maximum NaN, which fails the comparison too.
+    _expect(
+        np.abs(mat).max() <= MAX_ENTRY,
+        f"operator {name}: an entry is not finite or exceeds {MAX_ENTRY:g} in modulus",
+    )
     return mat
 
 
@@ -213,7 +236,8 @@ def decode_path(doc: dict, ops: dict[str, BlockOperator]) -> OperatorPath:
             isinstance(kf, dict) and "t" in kf and "op" in kf,
             f"keyframe {i} needs t and op",
         )
-        frames.append((float(kf["t"]), _named(ops, kf["op"], f"keyframe {i}")))
+        t = _number(float, kf["t"], f"keyframe {i} t")
+        frames.append((t, _named(ops, kf["op"], f"keyframe {i}")))
     try:
         return OperatorPath(frames)
     except ModelError as exc:
@@ -223,13 +247,10 @@ def decode_path(doc: dict, ops: dict[str, BlockOperator]) -> OperatorPath:
 def decode_tolerances(doc: dict, args: argparse.Namespace) -> Tolerances:
     raw = doc.get("tolerances", {})
     _expect(isinstance(raw, dict), "tolerances must be a mapping")
+    defaults = Tolerances()
     fields = {
-        "proj": float(raw.get("proj", 1e-8)),
-        "kernel": float(raw.get("kernel", 1e-10)),
-        "gap": float(raw.get("gap", 1e-8)),
-        "intersection": float(raw.get("intersection", 1e-8)),
-        "margin": float(raw.get("margin", 0.05)),
-        "max_depth": int(raw.get("max_depth", 20)),
+        name: _number(type(default), raw.get(name, default), f"tolerance {name}")
+        for name, default in vars(defaults).items()
     }
     if args.tol_kernel is not None:
         fields["kernel"] = args.tol_kernel
@@ -237,7 +258,10 @@ def decode_tolerances(doc: dict, args: argparse.Namespace) -> Tolerances:
         fields["gap"] = args.tol_gap
     if args.max_depth is not None:
         fields["max_depth"] = args.max_depth
-    return Tolerances(**fields)
+    try:
+        return Tolerances(**fields)
+    except ModelError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _decode_triple(doc: dict, alg: VnAlgebra, ops: dict, tol: Tolerances):
@@ -438,8 +462,8 @@ def _run_checks(doc, alg, ops, tol):
 def _run_generate(doc, args) -> dict:
     model = doc.get("model")
     if model == "dirac":
-        m = int(doc.get("m", 8))
-        k = int(doc.get("k", 1))
+        m = _number(int, doc.get("m", 8), "m")
+        k = _number(int, doc.get("k", 1), "k")
         triple, u = dirac_circle(m, k)
         out = {
             "task": "sf_unitary",
@@ -451,13 +475,15 @@ def _run_generate(doc, args) -> dict:
                 "D": encode_operator(triple.D),
             },
             "triple": {"generators": ["1", "u", "u*"], "D": "D", "unitary": "u"},
-            "seed": int(doc.get("seed", 0)),
+            "seed": _number(int, doc.get("seed", 0), "seed"),
         }
         return out
     if model == "crossing":
-        n = int(doc.get("n", 2))
+        n = _number(int, doc.get("n", 2), "n")
         crossings = doc.get("crossings", [])
-        seed = int(doc.get("seed", 0))
+        _expect(isinstance(crossings, list), "crossings must be a list")
+        crossings = [_number(int, c, "crossing") for c in crossings]
+        seed = _number(int, doc.get("seed", 0), "seed")
         path = random_crossing_path(n, crossings, seed)
         operators = {}
         keyframes = []
@@ -482,7 +508,7 @@ def _write_tracks(track, out_file: str) -> None:
     for t in np.linspace(0.0, 1.0, _TRACK_SAMPLES):
         op = track(t) if callable(track) else track.at(t)
         for bi, block in enumerate(op.blocks):
-            w = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+            w = _eigvalsh(block)
             for ei, val in enumerate(w):
                 lines.append(
                     f"{format(float(t), '.17g')},{bi},{ei},{format(float(val), '.17g')}"
@@ -513,7 +539,7 @@ def run_task(doc: dict, args: argparse.Namespace) -> tuple[dict, Any]:
     tol = decode_tolerances(doc, args)
     report, track = _RUNNERS[task](doc, alg, ops, tol)
     seed = doc.get("seed", args.seed)
-    report["seed"] = int(seed) if seed is not None else None
+    report["seed"] = _number(int, seed, "seed") if seed is not None else None
     report["version"] = __version__
     return report, track
 

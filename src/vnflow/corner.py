@@ -22,6 +22,8 @@ from .model import (
     K0Class,
     Tolerances,
     VnAlgebra,
+    _max_norm,
+    _spectral_norm,
     k0_of_difference,
     quotient_norm,
 )
@@ -78,10 +80,7 @@ def _require_in_corner(
     s: BlockOperator, p: BlockOperator, q: BlockOperator, tol: Tolerances
 ) -> None:
     compressed = q @ s @ p
-    defect = max(
-        float(np.linalg.norm(a - b, 2))
-        for a, b in zip(s.blocks, compressed.blocks)
-    )
+    defect = _max_norm(a - b for a, b in zip(s.blocks, compressed.blocks))
     eps = tol.proj_eps(s.norm())
     if defect > eps:
         raise PreconditionError(
@@ -129,7 +128,7 @@ def _require_ideal_support(
 ) -> None:
     eps = tol.proj_eps(op.norm())
     for i in alg.nonideal_indices:
-        n = float(np.linalg.norm(op.blocks[i], 2))
+        n = _spectral_norm(op.blocks[i])
         if n > eps:
             raise NotInIdealError(
                 f"class not in the ideal K-group: {what} has norm {n:.3e} "

@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConsistencyError, PartitionError, PathError, PreconditionError
+from .errors import ConsistencyError, PartitionError, PathError
 from .model import (
     DEFAULT_TOL,
     BlockOperator,
@@ -25,6 +25,7 @@ from .model import (
     OperatorPath,
     Tolerances,
     VnAlgebra,
+    _eigvalsh,
     k0_of_difference,
     quotient_norm,
     tau_star,
@@ -86,8 +87,7 @@ def _quotient_gap(op: BlockOperator, alg: VnAlgebra) -> float:
     """Distance of the quotient spectrum to zero (inf when the quotient is zero)."""
     gap = math.inf
     for i in alg.nonideal_indices:
-        b = op.blocks[i]
-        w = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+        w = _eigvalsh(op.blocks[i])
         if w.size:
             gap = min(gap, float(np.min(np.abs(w))))
     return gap
@@ -106,11 +106,7 @@ def certify_path(
     """
     alg.require_conformal(path.keyframes[0][1])
     for t, op in path.keyframes:
-        if not op.is_selfadjoint(tol):
-            raise PreconditionError(
-                f"keyframe at t = {t:g} is not selfadjoint "
-                f"(defect {op.selfadjoint_defect():.3e})"
-            )
+        op.require_selfadjoint(f"keyframe at t = {t:g}", tol)
     if alg.all_ideal:
         return PathCertificate(
             vacuous=True, min_gap=math.inf, lipschitz=0.0, samples=path.times

@@ -12,13 +12,14 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ModelError, NotInIdealError, PreconditionError
+from .errors import ModelError, NotInIdealError, NumericsError, PreconditionError
 
 __all__ = [
     "Tolerances",
@@ -54,6 +55,16 @@ class Tolerances:
     margin: float = 0.05
     max_depth: int = 20
 
+    def __post_init__(self) -> None:
+        for name in ("proj", "kernel", "gap", "intersection"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ModelError(f"tolerance {name} must be finite and > 0, got {value}")
+        if not 0.0 <= self.margin < 0.5:
+            raise ModelError(f"tolerance margin must lie in [0, 1/2), got {self.margin}")
+        if not self.max_depth >= 1:
+            raise ModelError(f"tolerance max_depth must be >= 1, got {self.max_depth}")
+
     def proj_eps(self, norm: float) -> float:
         return self.proj * (1.0 + norm)
 
@@ -64,10 +75,50 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+# -- the Hermitian spectral kernel ---------------------------------------------
+#
+# Every eigendecomposition and spectral norm in the package goes through the
+# functions below.  The LAPACK entry points are looked up on ``np.linalg`` at
+# call time, and a LAPACK failure surfaces as NumericsError.
+
+
+def _herm(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of the Hermitian part."""
+    try:
+        return np.linalg.eigh(_herm(mat))
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"Hermitian eigendecomposition failed: {exc}") from exc
+
+
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part."""
+    try:
+        return np.linalg.eigvalsh(_herm(mat))
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"Hermitian eigenvalue computation failed: {exc}") from exc
+
+
 def _spectral_norm(mat: np.ndarray) -> float:
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.norm(mat, 2))
+    try:
+        return float(np.linalg.norm(mat, 2))
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"spectral norm failed: {exc}") from exc
+
+
+def _max_norm(mats: Iterable[np.ndarray]) -> float:
+    """The largest spectral norm in a family of matrices; 0 for no matrices."""
+    return max((_spectral_norm(m) for m in mats), default=0.0)
+
+
+def _require(what: str, kind: str, defect: float, eps: float) -> None:
+    if not defect <= eps:
+        raise PreconditionError(f"{what} must be {kind}: defect {defect:.3e} > {eps:.3e}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +190,8 @@ class BlockOperator:
 
     Instances are immutable; the underlying arrays are copies with the
     writeable flag cleared.  Norm and the selfadjoint / projection / unitary
-    defect checks are cached on first use.
+    defect checks are cached on first use.  ``apply`` and
+    ``spectral_projection`` act on the Hermitian part of each block.
     """
 
     __slots__ = ("blocks", "_cache")
@@ -174,6 +226,28 @@ class BlockOperator:
     def map_blocks(self, fn: Callable[[np.ndarray], np.ndarray]) -> "BlockOperator":
         return BlockOperator([fn(b) for b in self.blocks])
 
+    def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "BlockOperator":
+        """Functional calculus: ``fn`` applied to the spectrum of the Hermitian part."""
+
+        def calculus(b: np.ndarray) -> np.ndarray:
+            w, v = _eigh(b)
+            return (v * fn(w)) @ v.conj().T
+
+        return self.map_blocks(calculus)
+
+    def spectral_projection(
+        self, keep: Callable[[np.ndarray], np.ndarray]
+    ) -> "BlockOperator":
+        """Projection onto the eigenvectors of the Hermitian part whose
+        eigenvalues pass the boolean mask ``keep``."""
+
+        def projection(b: np.ndarray) -> np.ndarray:
+            w, v = _eigh(b)
+            cols = v[:, keep(w)]
+            return cols @ cols.conj().T
+
+        return self.map_blocks(projection)
+
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -188,7 +262,7 @@ class BlockOperator:
     def norm(self) -> float:
         """Operator norm: the maximum spectral norm over all blocks."""
         if "norm" not in self._cache:
-            self._cache["norm"] = max(_spectral_norm(b) for b in self.blocks)
+            self._cache["norm"] = _max_norm(self.blocks)
         return self._cache["norm"]
 
     def allclose(self, other: "BlockOperator", atol: float = 1e-10) -> bool:
@@ -203,14 +277,12 @@ class BlockOperator:
 
     def selfadjoint_defect(self) -> float:
         if "sa" not in self._cache:
-            self._cache["sa"] = max(
-                _spectral_norm(b - b.conj().T) for b in self.blocks
-            )
+            self._cache["sa"] = _max_norm(b - b.conj().T for b in self.blocks)
         return self._cache["sa"]
 
     def projection_defect(self) -> float:
         if "proj" not in self._cache:
-            idem = max(_spectral_norm(b @ b - b) for b in self.blocks)
+            idem = _max_norm(b @ b - b for b in self.blocks)
             self._cache["proj"] = max(idem, self.selfadjoint_defect())
         return self._cache["proj"]
 
@@ -235,6 +307,22 @@ class BlockOperator:
 
     def is_unitary(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return self.unitary_defect() <= tol.proj_eps(self.norm())
+
+    # -- preconditions: raise PreconditionError where ``is_*`` is false --------
+
+    def require_selfadjoint(self, what: str, tol: Tolerances = DEFAULT_TOL) -> None:
+        _require(what, "selfadjoint", self.selfadjoint_defect(), tol.proj_eps(self.norm()))
+
+    def require_projection(self, what: str, tol: Tolerances = DEFAULT_TOL) -> None:
+        _require(what, "a projection", self.projection_defect(), tol.proj_eps(self.norm()))
+
+    def require_unitary(
+        self, what: str, tol: Tolerances = DEFAULT_TOL, eps: float | None = None
+    ) -> None:
+        """``eps``, when given, is an absolute bound in place of ``tol``."""
+        if eps is None:
+            eps = tol.proj_eps(self.norm())
+        _require(what, "unitary", self.unitary_defect(), eps)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -397,10 +485,7 @@ def quotient_norm(op: BlockOperator, alg: VnAlgebra) -> float:
     Returns 0 when every block belongs to the ideal (the quotient is zero).
     """
     alg.require_conformal(op)
-    idx = alg.nonideal_indices
-    if not idx:
-        return 0.0
-    return max(_spectral_norm(op.blocks[i]) for i in idx)
+    return _max_norm(op.blocks[i] for i in alg.nonideal_indices)
 
 
 def block_ranks(p: BlockOperator) -> tuple[int, ...]:
@@ -411,23 +496,15 @@ def block_ranks(p: BlockOperator) -> tuple[int, ...]:
     """
     ranks = []
     for b in p.blocks:
-        w = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+        w = _eigvalsh(b)
         ranks.append(int(np.count_nonzero(w >= 0.5)))
     return tuple(ranks)
-
-
-def _require_projection(p: BlockOperator, tol: Tolerances, what: str) -> None:
-    eps = tol.proj_eps(p.norm())
-    if p.projection_defect() > eps:
-        raise PreconditionError(
-            f"{what} is not a projection: defect {p.projection_defect():.3e} > {eps:.3e}"
-        )
 
 
 def tau(p: BlockOperator, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL) -> float:
     """The weighted trace of a projection: sum of weight * rank over all blocks."""
     alg.require_conformal(p)
-    _require_projection(p, tol, "tau argument")
+    p.require_projection("tau argument", tol)
     ranks = block_ranks(p)
     return float(sum(w * r for w, r in zip(alg.weights, ranks)))
 
@@ -456,8 +533,8 @@ def k0_of_difference(
     """
     alg.require_conformal(p)
     alg.require_conformal(q)
-    _require_projection(p, tol, "first argument")
-    _require_projection(q, tol, "second argument")
+    p.require_projection("first argument", tol)
+    q.require_projection("second argument", tol)
     eps = tol.proj_eps(max(p.norm(), q.norm()))
     for i in alg.nonideal_indices:
         defect = _spectral_norm(p.blocks[i] - q.blocks[i])

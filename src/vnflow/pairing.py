@@ -22,6 +22,7 @@ from .model import (
     K0Class,
     Tolerances,
     VnAlgebra,
+    _max_norm,
     quotient_norm,
 )
 from .corner import boundary_map
@@ -46,11 +47,7 @@ def unitary_log(u: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperato
     q-eigenvalue 0.  Built from a complex Schur form, which is diagonal for
     the (normal) unitary input.
     """
-    if u.unitary_defect() > _LOG_TOL:
-        raise PreconditionError(
-            f"unitary_log needs a unitary within {_LOG_TOL:g} "
-            f"(defect {u.unitary_defect():.3e})"
-        )
+    u.require_unitary("unitary_log argument", eps=_LOG_TOL)
 
     logs = []
     for b in u.blocks:
@@ -60,10 +57,7 @@ def unitary_log(u: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperato
         logs.append((z * vals) @ z.conj().T)
     q = BlockOperator(logs)
 
-    recon = q.map_blocks(_exp_2pi_i)
-    defect = max(
-        float(np.linalg.norm(x - y, 2)) for x, y in zip(recon.blocks, u.blocks)
-    )
+    defect = _exp_defect(q, u)
     if defect > _LOG_TOL:
         raise NumericsError(
             f"logarithm reconstruction error {defect:.3e} exceeds {_LOG_TOL:g}"
@@ -71,17 +65,10 @@ def unitary_log(u: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperato
     return q
 
 
-def _exp_2pi_i(b: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (b + b.conj().T))
-    return (v * np.exp(2j * np.pi * w)) @ v.conj().T
-
-
-def _selfadjoint_function(op: BlockOperator, fn) -> BlockOperator:
-    def apply(b: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(0.5 * (b + b.conj().T))
-        return (v * fn(w)) @ v.conj().T
-
-    return op.map_blocks(apply)
+def _exp_defect(q: BlockOperator, u: BlockOperator) -> float:
+    """Reconstruction error ||exp(2 pi i q) - u||."""
+    recon = q.apply(lambda w: np.exp(2j * np.pi * w))
+    return _max_norm(x - y for x, y in zip(recon.blocks, u.blocks))
 
 
 def cos_identity_check(
@@ -97,8 +84,7 @@ def cos_identity_check(
     a defect within ``eps_gap`` it stays below ten times that.
     """
     eps = tol.gap if eps_gap is None else eps_gap
-    if q.selfadjoint_defect() > tol.proj_eps(q.norm()):
-        raise PreconditionError("cos identity needs a selfadjoint argument")
+    q.require_selfadjoint("cos identity argument", tol)
     defect = quotient_norm(q @ q - q, alg)
     if defect > eps:
         raise PreconditionError(
@@ -106,7 +92,7 @@ def cos_identity_check(
             f"quotient defect {defect:.3e} > {eps:.3e}"
         )
     one = alg.identity()
-    cos_pq = _selfadjoint_function(q, lambda w: np.cos(np.pi * w))
+    cos_pq = q.apply(lambda w: np.cos(np.pi * w))
     return quotient_norm(cos_pq + 2.0 * q - one, alg)
 
 
@@ -142,31 +128,22 @@ def make_pairing_data(
     """
     alg.require_conformal(p)
     alg.require_conformal(u)
-    if not u.is_unitary(tol):
-        raise PreconditionError(
-            f"pairing unitary has defect {u.unitary_defect():.3e}"
-        )
+    u.require_unitary("pairing unitary", tol)
     if quotient_norm(p @ p - p, alg) > tol.gap:
         raise PreconditionError(
             "p must be a projection modulo the ideal "
             f"(quotient defect {quotient_norm(p @ p - p, alg):.3e})"
         )
-    if p.selfadjoint_defect() > tol.proj_eps(p.norm()):
-        raise PreconditionError("p must be selfadjoint")
+    p.require_selfadjoint("p", tol)
 
     if q is None:
         q = unitary_log(u, tol)
     else:
         alg.require_conformal(q)
-        if q.selfadjoint_defect() > tol.proj_eps(q.norm()):
-            raise PreconditionError("q must be selfadjoint")
+        q.require_selfadjoint("q", tol)
         if q.norm() > 1.0 + _LOG_TOL:
             raise PreconditionError(f"q must have norm <= 1, got {q.norm():.6g}")
-        recon = _selfadjoint_function(q, lambda w: np.exp(2j * np.pi * w))
-        defect = max(
-            float(np.linalg.norm(x - y, 2))
-            for x, y in zip(recon.blocks, u.blocks)
-        )
+        defect = _exp_defect(q, u)
         if defect > _LOG_TOL:
             raise PreconditionError(
                 f"u differs from exp(2 pi i q) by {defect:.3e} > {_LOG_TOL:g}"
@@ -209,8 +186,8 @@ def intermediate_operator(
     """
     alg = data.alg
     one = alg.identity()
-    cos_pq = _selfadjoint_function(data.q, lambda w: np.cos(np.pi * w))
-    sin_pq = _selfadjoint_function(data.q, lambda w: np.sin(np.pi * w))
+    cos_pq = data.q.apply(lambda w: np.cos(np.pi * w))
+    sin_pq = data.q.apply(lambda w: np.sin(np.pi * w))
     w_op = (-1j) * data.psi(cos_pq) + data.psi(sin_pq) @ (2.0 * data.p - one)
     res_left = quotient_norm(w_op.H @ w_op - one, alg)
     res_right = quotient_norm(w_op @ w_op.H - one, alg)
@@ -235,7 +212,7 @@ def pairing_via_boundary(
     alg = data.alg
     one = alg.identity()
     p = data.p
-    if p.projection_defect() > tol.proj_eps(p.norm()):
+    if not p.is_projection(tol):
         p = nearest_projection(p, tol)
     lift = p @ data.psi(data.u) @ p + (one - p)
     via_lift = boundary_map(lift, alg, tol, eps_gap=10.0 * tol.gap)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, SpectralGapError
-from .model import DEFAULT_TOL, BlockOperator, Tolerances
+from .errors import SpectralGapError
+from .model import DEFAULT_TOL, BlockOperator, Tolerances, _eigh
 
 __all__ = [
     "chi",
@@ -24,37 +24,15 @@ __all__ = [
 ]
 
 
-def _herm(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
-def _projection_from_eigenspace(mat: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the span of the selected eigenvectors."""
-    w, v = np.linalg.eigh(_herm(mat))
-    cols = v[:, keep(w)]
-    return cols @ cols.conj().T
-
-
-def _require_selfadjoint(op: BlockOperator, tol: Tolerances, what: str) -> None:
-    eps = tol.proj_eps(op.norm())
-    if op.selfadjoint_defect() > eps:
-        raise PreconditionError(
-            f"{what} must be selfadjoint: defect "
-            f"{op.selfadjoint_defect():.3e} > {eps:.3e}"
-        )
-
-
 def chi(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     """Nonnegative spectral projection of a selfadjoint operator.
 
     Eigenvalues down to ``-kernel_eps`` count as nonnegative, so exact zeros
     (integer models) land in the positive side deterministically.
     """
-    _require_selfadjoint(op, tol, "chi argument")
+    op.require_selfadjoint("chi argument", tol)
     eps_zero = tol.kernel_eps(op.norm())
-    return op.map_blocks(
-        lambda b: _projection_from_eigenspace(b, lambda w: w >= -eps_zero)
-    )
+    return op.spectral_projection(lambda w: w >= -eps_zero)
 
 
 def polar_phase(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
@@ -106,18 +84,11 @@ def proj_intersection(
     p + q, so one Hermitian eigendecomposition with the ``intersection``
     tolerance settles it.
     """
-    for arg, what in ((p, "first"), (q, "second")):
-        eps = tol.proj_eps(arg.norm())
-        if arg.projection_defect() > eps:
-            raise PreconditionError(
-                f"{what} intersection argument is not a projection "
-                f"(defect {arg.projection_defect():.3e})"
-            )
+    p.require_projection("first intersection argument", tol)
+    q.require_projection("second intersection argument", tol)
     cut = 2.0 - tol.intersection
     total = p + q
-    return total.map_blocks(
-        lambda b: _projection_from_eigenspace(b, lambda w: w > cut)
-    )
+    return total.spectral_projection(lambda w: w > cut)
 
 
 def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
@@ -127,11 +98,11 @@ def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> Block
     is below 1/4.  The result is the spectral projection above 1/2 and lies
     within distance 1/2 of the input.
     """
-    _require_selfadjoint(e, tol, "nearest_projection argument")
+    e.require_selfadjoint("nearest_projection argument", tol)
     gap_eps = 1e-12
     snapped = []
     for i, b in enumerate(e.blocks):
-        w, v = np.linalg.eigh(_herm(b))
+        w, v = _eigh(b)
         if np.any(np.abs(w - 0.5) < gap_eps):
             raise SpectralGapError(
                 f"no spectral gap: block {i} has an eigenvalue within "
@@ -156,6 +127,6 @@ def range_basis(p: BlockOperator) -> list[np.ndarray]:
     """
     bases = []
     for b in p.blocks:
-        w, v = np.linalg.eigh(_herm(b))
+        w, v = _eigh(b)
         bases.append(v[:, w > 0.5])
     return bases

@@ -30,6 +30,9 @@ from .model import (
     OperatorPath,
     Tolerances,
     VnAlgebra,
+    _eigh,
+    _max_norm,
+    _spectral_norm,
     block_ranks,
     k0_of_difference,
     quotient_norm,
@@ -56,19 +59,8 @@ def bounded_transform(d: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockO
 
     Eigendecompose blockwise and apply x -> x / sqrt(1 + x^2).
     """
-    eps = tol.proj_eps(d.norm())
-    if d.selfadjoint_defect() > eps:
-        raise PreconditionError(
-            f"bounded transform needs a selfadjoint operator "
-            f"(defect {d.selfadjoint_defect():.3e})"
-        )
-
-    def transform(b: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(0.5 * (b + b.conj().T))
-        f = w / np.sqrt(1.0 + w * w)
-        return (v * f) @ v.conj().T
-
-    return d.map_blocks(transform)
+    d.require_selfadjoint("bounded transform argument", tol)
+    return d.apply(lambda w: w / np.sqrt(1.0 + w * w))
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ def _resolvent_residual(a: BlockOperator, d: BlockOperator, alg: VnAlgebra) -> f
     for i in alg.nonideal_indices:
         db = d.blocks[i]
         res = np.linalg.solve(1j * np.eye(db.shape[0]) - db, np.eye(db.shape[0]))
-        residual = max(residual, float(np.linalg.norm(a.blocks[i] @ res, 2)))
+        residual = max(residual, _spectral_norm(a.blocks[i] @ res))
     return residual
 
 
@@ -122,8 +114,7 @@ def make_triple(
     resolvent.
     """
     alg.require_conformal(d)
-    if not d.is_selfadjoint(tol):
-        raise PreconditionError("D must be selfadjoint")
+    d.require_selfadjoint("D", tol)
     one = alg.identity()
     if not any(
         op.allclose(one, atol=tol.proj_eps(1.0)) for op in generators.values()
@@ -213,10 +204,6 @@ def _simpson(a: float, b: float, fa, fm, fb) -> list[np.ndarray]:
     return [h * (x + 4.0 * y + z) for x, y, z in zip(fa, fm, fb)]
 
 
-def _blocks_norm(blocks) -> float:
-    return max(float(np.linalg.norm(m, 2)) for m in blocks)
-
-
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, eps_rate, depth, counter):
     mid = 0.5 * (a + b)
     flm, frm = f(0.5 * (a + mid)), f(0.5 * (mid + b))
@@ -224,7 +211,7 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, eps_rate, depth, counter):
     left = _simpson(a, mid, fa, flm, fm)
     right = _simpson(mid, b, fm, frm, fb)
     err = [l + r - w for l, r, w in zip(left, right, whole)]
-    if depth <= 0 or _blocks_norm(err) <= 15.0 * eps_rate * (b - a):
+    if depth <= 0 or _max_norm(err) <= 15.0 * eps_rate * (b - a):
         return [l + r + e / 15.0 for l, r, e in zip(left, right, err)]
     sub_left = _adaptive_simpson(f, a, mid, fa, flm, fm, left, eps_rate, depth - 1, counter)
     sub_right = _adaptive_simpson(f, mid, b, fm, frm, fb, right, eps_rate, depth - 1, counter)
@@ -256,7 +243,7 @@ def resolvent_integral_check(
     alg.require_conformal(a)
     alg.require_conformal(b)
 
-    eig = [np.linalg.eigh(0.5 * (m + m.conj().T)) for m in d.blocks]
+    eig = [_eigh(m) for m in d.blocks]
 
     commutator_norm = (d @ a - a @ d).norm()
     scale = commutator_norm * b.norm()
@@ -298,11 +285,8 @@ def resolvent_integral_check(
         inv_sqrt = (v / np.sqrt(1.0 + w * w)) @ v.conj().T
         direct_blocks.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
 
-    residual = max(
-        float(np.linalg.norm(t - dbk, 2))
-        for t, dbk in zip(total, direct_blocks)
-    )
-    direct_norm = max(float(np.linalg.norm(dbk, 2)) for dbk in direct_blocks)
+    residual = _max_norm(t - dbk for t, dbk in zip(total, direct_blocks))
+    direct_norm = _max_norm(direct_blocks)
     if residual > max(1000.0 * target, 1e-6 * direct_norm):
         raise NumericsError(
             f"resolvent integral did not converge: residual {residual:.3e} "
@@ -321,10 +305,7 @@ def _as_unitary(triple: VnTriple, u: BlockOperator | str, tol: Tolerances):
     if isinstance(u, str):
         u = triple.generator(u)
     triple.alg.require_conformal(u)
-    if not u.is_unitary(tol):
-        raise PreconditionError(
-            f"argument is not unitary (defect {u.unitary_defect():.3e})"
-        )
+    u.require_unitary("argument", tol)
     return u
 
 
@@ -375,10 +356,7 @@ def sf_unbounded(
     alg = triple.alg
     for t, op in a_path.keyframes:
         alg.require_conformal(op)
-        if not op.is_selfadjoint(tol):
-            raise PreconditionError(
-                f"perturbation keyframe at t = {t:g} is not selfadjoint"
-            )
+        op.require_selfadjoint(f"perturbation keyframe at t = {t:g}", tol)
 
     f0 = bounded_transform(triple.D + a_path.at(0.0), tol)
     if not alg.all_ideal:
@@ -435,7 +413,7 @@ def pushforward_sf(
     resolvent = one - f @ f
     outside = [i for i in range(len(alg.blocks)) if not mask[i]]
     for i in outside:
-        support = float(np.linalg.norm(resolvent.blocks[i], 2))
+        support = _spectral_norm(resolvent.blocks[i])
         if support > tol.gap:
             raise PreconditionError(
                 f"sub-ideal too small: (1 + D^2)^(-1) has norm {support:.3e} "
@@ -443,7 +421,7 @@ def pushforward_sf(
             )
         for name, a in triple.generators.items():
             c = f @ a - a @ f
-            support = float(np.linalg.norm(c.blocks[i], 2))
+            support = _spectral_norm(c.blocks[i])
             if support > tol.gap:
                 raise PreconditionError(
                     f"sub-ideal too small: [F, {name}] has norm {support:.3e} "
@@ -458,7 +436,7 @@ def pushforward_sf(
     coker = null_projection(lift.H, tol)
     for i in outside:
         for name, kp in (("kernel", ker), ("cokernel", coker)):
-            support = float(np.linalg.norm(kp.blocks[i], 2))
+            support = _spectral_norm(kp.blocks[i])
             if support > tol.proj_eps(1.0):
                 raise PreconditionError(
                     f"sub-ideal too small: flow {name} has norm {support:.3e} "

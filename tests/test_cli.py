@@ -237,3 +237,40 @@ def test_tolerance_flags_reach_the_solver(tmp_path):
     path2 = _write(tmp_path, "t2.json", doc2)
     assert main(["run", path2]) == 0
     assert main(["run", path2, "--tol-gap", "1.5"]) == 3
+
+
+def test_overflowing_and_nonfinite_entries_exit_2(tmp_path, capsys):
+    # 1e308 used to overflow in the Hermitian part and report the class [0]
+    # for a path whose class is [-1]; NaN used to escape as LinAlgError.
+    for bad in (1e308, float("nan")):
+        doc = _calibration_doc()
+        doc["operators"]["B1"][0][1][1] = [bad, 0.0]
+        assert main(["run", _write(tmp_path, "bad.json", doc)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+
+
+def test_mistyped_numbers_exit_2(tmp_path):
+    def doc_with(edit):
+        doc = _calibration_doc()
+        edit(doc)
+        return _write(tmp_path, "bad.json", doc)
+
+    bad_docs = [
+        doc_with(lambda d: d["algebra"]["blocks"][0].update(dim="abc")),
+        doc_with(lambda d: d["path"]["keyframes"][1].update(t="one")),
+        doc_with(lambda d: d.update(seed="x")),
+        doc_with(lambda d: d["operators"]["B0"][0][0].__setitem__(0, ["one", 0.0])),
+        doc_with(lambda d: d.update(tolerances={"kernel": "small"})),
+        _write(tmp_path, "gen.json", {"task": "generate", "model": "dirac", "m": "x"}),
+        _write(tmp_path, "gen.json", {"task": "generate", "model": "crossing", "seed": [1]}),
+    ]
+    for path in bad_docs:
+        assert main(["run", path]) == 2
+
+
+def test_out_of_range_tolerances_exit_2(tmp_path):
+    for tolerances in ({"gap": -1}, {"margin": 0.6}, {"max_depth": 0}):
+        doc = _calibration_doc()
+        doc["tolerances"] = tolerances
+        assert main(["run", _write(tmp_path, "bad.json", doc)]) == 2
+    assert main(["run", _write(tmp_path, "ok.json", _calibration_doc()), "--tol-gap", "-1"]) == 2

@@ -1,0 +1,147 @@
+"""The Hermitian spectral kernel: properties, failure mapping and its layering."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from vnflow import (
+    DEFAULT_TOL,
+    BlockOperator,
+    NumericsError,
+    block_ranks,
+    bounded_transform,
+    chi,
+    proj_intersection,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vnflow"
+
+_entries = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_operators(draw, dims=None):
+    """A BlockOperator with exactly Hermitian blocks of dimension 1..4."""
+    if dims is None:
+        dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    blocks = []
+    for n in dims:
+        re = draw(arrays(np.float64, (n, n), elements=_entries))
+        im = draw(arrays(np.float64, (n, n), elements=_entries))
+        g = re + 1j * im
+        blocks.append(0.5 * (g + g.conj().T))
+    return BlockOperator(blocks)
+
+
+_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@_settings
+@given(hermitian_operators())
+def test_chi_is_projection_with_nonnegative_eigenvalue_count(op):
+    p = chi(op)
+    assert p.is_projection()
+    eps_zero = DEFAULT_TOL.kernel_eps(op.norm())
+    expected = tuple(
+        int(np.count_nonzero(np.linalg.eigh(b)[0] >= -eps_zero)) for b in op.blocks
+    )
+    assert block_ranks(p) == expected
+
+
+@_settings
+@given(st.data())
+def test_bounded_transform_is_a_contraction_and_1_lipschitz(data):
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    a = data.draw(hermitian_operators(dims))
+    b = data.draw(hermitian_operators(dims))
+    fa, fb = bounded_transform(a), bounded_transform(b)
+    assert fa.norm() < 1.0
+    assert (fa - fb).norm() <= (a - b).norm() + 1e-12
+
+
+@_settings
+@given(hermitian_operators())
+def test_intersection_of_a_projection_with_itself(op):
+    p = chi(op)
+    assert proj_intersection(p, p).allclose(p, atol=1e-10)
+
+
+def test_lapack_failure_is_a_numerics_error():
+    bad = BlockOperator([np.array([[1.0, np.nan], [np.nan, 0.0]])])
+    with pytest.raises(NumericsError):
+        chi(bad)
+
+
+# -- layering guard -------------------------------------------------------------
+
+
+def _is_two(node: ast.AST | None) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 2
+
+
+def _violations(tree: ast.AST, defect_compares: bool) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            if attr in ("eigh", "eigvalsh"):
+                found.append(f"line {node.lineno}: {attr}")
+            ord_arg = node.args[1] if len(node.args) > 1 else None
+            ord_kw = [k.value for k in node.keywords if k.arg == "ord"]
+            if attr == "norm" and (_is_two(ord_arg) or any(map(_is_two, ord_kw))):
+                found.append(f"line {node.lineno}: norm(..., 2)")
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == 0.5
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.right, ast.Attribute)
+            and node.right.right.attr == "T"
+        ):
+            found.append(f"line {node.lineno}: Hermitian part")
+        if defect_compares and isinstance(node, ast.Compare):
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr.endswith("_defect")
+                ):
+                    found.append(f"line {node.lineno}: {call.func.attr}() compared")
+    return found
+
+
+# generators.py keeps its own numpy calls: the crossing oracle is the
+# independent reference the calibration tests compare the flow against.
+_KERNEL_OWNERS = ("model.py", "generators.py")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name not in _KERNEL_OWNERS],
+    ids=lambda p: p.name,
+)
+def test_spectral_kernel_stays_in_model(path):
+    """Eigendecompositions, spectral norms, the Hermitian part and defect
+    thresholds live in model.py."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _violations(tree, defect_compares=True) == []
+
+
+def test_guard_sees_the_patterns():
+    source = (
+        "w = np.linalg.eigvalsh(0.5 * (b + b.conj().T))\n"
+        "n = float(np.linalg.norm(x, 2))\n"
+        "m = np.linalg.norm(x, ord=2)\n"
+        "if op.selfadjoint_defect() > eps: pass\n"
+    )
+    assert len(_violations(ast.parse(source), defect_compares=True)) == 5
+    generators = ast.parse((SRC / "generators.py").read_text(encoding="utf-8"))
+    assert _violations(generators, defect_compares=False)

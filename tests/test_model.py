@@ -13,6 +13,7 @@ from vnflow import (
     NotInIdealError,
     OperatorPath,
     PreconditionError,
+    Tolerances,
     VnAlgebra,
     k0_of_difference,
     quotient_norm,
@@ -224,3 +225,20 @@ def test_tau_star_of_difference_matches_trace_difference():
         )
         diff = k0_of_difference(p, q, alg)
         assert tau_star(diff, alg) == pytest.approx(tau(p, alg) - tau(q, alg))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("proj", 0.0),
+        ("kernel", -1e-10),
+        ("gap", float("inf")),
+        ("intersection", float("nan")),
+        ("margin", -0.01),
+        ("margin", 0.5),
+        ("max_depth", 0),
+    ],
+)
+def test_tolerances_reject_out_of_range_fields(field, value):
+    with pytest.raises(ModelError, match=field):
+        Tolerances(**{field: value})
