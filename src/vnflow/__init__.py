@@ -1,152 +1,22 @@
-"""Block-model operator algebras: K-class valued spectral flow and indices."""
+"""Block-model operator algebras: K-class valued spectral flow and indices.
+
+Every public name of the submodules (their ``__all__``) is re-exported here.
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConsistencyError,
-    ModelError,
-    NotInIdealError,
-    NumericsError,
-    PartitionError,
-    PathError,
-    PreconditionError,
-    SchemaError,
-    SpectralGapError,
-    VnFlowError,
-)
-from .model import (
-    DEFAULT_TOL,
-    Block,
-    BlockOperator,
-    K0Class,
-    OperatorPath,
-    Tolerances,
-    VnAlgebra,
-    block_ranks,
-    k0_of_difference,
-    quotient_norm,
-    tau,
-    tau_star,
-)
-from .projections import (
-    chi,
-    nearest_projection,
-    null_projection,
-    polar_phase,
-    proj_intersection,
-    range_projection,
-)
-from .corner import (
-    FredholmReport,
-    boundary_map,
-    corner_index,
-    is_corner_fredholm,
-)
-from .flow import (
-    FlowResult,
-    PathCertificate,
-    certify_path,
-    find_partition,
-    numeric_spectral_flow,
-    spectral_flow,
-    spectral_flow_result,
-)
-from .triples import (
-    IntegralCheck,
-    KasparovReport,
-    VnTriple,
-    bounded_transform,
-    check_kasparov_module,
-    make_triple,
-    pushforward_sf,
-    resolvent_integral_check,
-    sf_unbounded,
-    sf_unitary,
-)
-from .pairing import (
-    PairingData,
-    cos_identity_check,
-    intermediate_operator,
-    make_pairing_data,
-    pairing_via_boundary,
-    unitary_log,
-)
-from .generators import (
-    CROSSING_SIGN,
-    crossing_oracle,
-    dirac_circle,
-    random_crossing_path,
-    weighted_model,
-)
+from . import corner, errors, flow, generators, model, pairing, projections, triples
+from .errors import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .projections import *  # noqa: F401,F403
+from .corner import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .triples import *  # noqa: F401,F403
+from .pairing import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # errors
-    "VnFlowError",
-    "ModelError",
-    "SchemaError",
-    "PreconditionError",
-    "NotInIdealError",
-    "SpectralGapError",
-    "PathError",
-    "PartitionError",
-    "NumericsError",
-    "ConsistencyError",
-    # model
-    "Tolerances",
-    "DEFAULT_TOL",
-    "Block",
-    "VnAlgebra",
-    "BlockOperator",
-    "K0Class",
-    "OperatorPath",
-    "quotient_norm",
-    "tau",
-    "tau_star",
-    "k0_of_difference",
-    "block_ranks",
-    # projections
-    "chi",
-    "polar_phase",
-    "null_projection",
-    "range_projection",
-    "proj_intersection",
-    "nearest_projection",
-    # corner
-    "FredholmReport",
-    "is_corner_fredholm",
-    "corner_index",
-    "boundary_map",
-    # flow
-    "PathCertificate",
-    "FlowResult",
-    "certify_path",
-    "find_partition",
-    "spectral_flow",
-    "spectral_flow_result",
-    "numeric_spectral_flow",
-    # triples
-    "VnTriple",
-    "make_triple",
-    "bounded_transform",
-    "KasparovReport",
-    "check_kasparov_module",
-    "IntegralCheck",
-    "resolvent_integral_check",
-    "sf_unitary",
-    "sf_unbounded",
-    "pushforward_sf",
-    # pairing
-    "PairingData",
-    "make_pairing_data",
-    "unitary_log",
-    "cos_identity_check",
-    "intermediate_operator",
-    "pairing_via_boundary",
-    # generators
-    "CROSSING_SIGN",
-    "dirac_circle",
-    "random_crossing_path",
-    "crossing_oracle",
-    "weighted_model",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, model, projections, corner, flow, triples, pairing, generators)
+    for name in module.__all__
 ]

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Mapping
 from typing import Any
 
 import numpy as np
@@ -28,24 +29,24 @@ from .errors import (
 from .model import (
     Block,
     BlockOperator,
+    K0Class,
     OperatorPath,
     Tolerances,
     VnAlgebra,
     _eigvalsh,
-    quotient_norm,
     tau_star,
 )
-from .corner import boundary_map, corner_index, is_corner_fredholm
+from .corner import boundary_map_result, corner_index_result
 from .flow import spectral_flow_result
 from .generators import dirac_circle, random_crossing_path
-from .pairing import cos_identity_check, intermediate_operator, make_pairing_data, pairing_via_boundary
+from .pairing import cos_identity_check, make_pairing_data, pairing_result
 from .triples import (
     bounded_transform,
     check_kasparov_module,
     make_triple,
     resolvent_integral_check,
-    sf_unbounded,
-    sf_unitary,
+    sf_unbounded_result,
+    sf_unitary_result,
 )
 
 TASKS = (
@@ -93,7 +94,7 @@ def _canonical(obj: Any, out: list[str]) -> None:
                 out.append(",")
             _canonical(item, out)
         out.append("]")
-    elif isinstance(obj, dict):
+    elif isinstance(obj, Mapping):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
@@ -140,12 +141,24 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _number(cast, value: Any, what: str):
-    """``cast(value)``, with a failed or overflowing cast reported as SchemaError."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{what} must be a number, got {value!r}") from exc
+def _real(value: Any, what: str) -> float:
+    """A JSON number (not a boolean) as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SchemaError(f"{what} must be a number, got {value!r}")
+
+
+def _integer(value: Any, what: str) -> int:
+    """A JSON number with an integral value (not a boolean) as an int."""
+    _expect(
+        (isinstance(value, int) and not isinstance(value, bool))
+        or (isinstance(value, float) and value.is_integer()),
+        f"{what} must be an integer, got {value!r}",
+    )
+    return int(value)
 
 
 def decode_algebra(data: Any) -> VnAlgebra:
@@ -153,12 +166,14 @@ def decode_algebra(data: Any) -> VnAlgebra:
     blocks = []
     for i, raw in enumerate(data["blocks"]):
         _expect(isinstance(raw, dict) and "dim" in raw, f"block {i} needs a dim")
+        ideal = raw.get("ideal", True)
+        _expect(isinstance(ideal, bool), f"block {i} ideal must be true or false, got {ideal!r}")
         try:
             blocks.append(
                 Block(
-                    dim=_number(int, raw["dim"], f"block {i} dim"),
-                    weight=_number(float, raw.get("weight", 1.0), f"block {i} weight"),
-                    in_ideal=bool(raw.get("ideal", True)),
+                    dim=_integer(raw["dim"], f"block {i} dim"),
+                    weight=_real(raw.get("weight", 1.0), f"block {i} weight"),
+                    in_ideal=ideal,
                 )
             )
         except ModelError as exc:
@@ -236,7 +251,7 @@ def decode_path(doc: dict, ops: dict[str, BlockOperator]) -> OperatorPath:
             isinstance(kf, dict) and "t" in kf and "op" in kf,
             f"keyframe {i} needs t and op",
         )
-        t = _number(float, kf["t"], f"keyframe {i} t")
+        t = _real(kf["t"], f"keyframe {i} t")
         frames.append((t, _named(ops, kf["op"], f"keyframe {i}")))
     try:
         return OperatorPath(frames)
@@ -249,7 +264,9 @@ def decode_tolerances(doc: dict, args: argparse.Namespace) -> Tolerances:
     _expect(isinstance(raw, dict), "tolerances must be a mapping")
     defaults = Tolerances()
     fields = {
-        name: _number(type(default), raw.get(name, default), f"tolerance {name}")
+        name: (_integer if isinstance(default, int) else _real)(
+            raw.get(name, default), f"tolerance {name}"
+        )
         for name, default in vars(defaults).items()
     }
     if args.tol_kernel is not None:
@@ -281,78 +298,63 @@ def _decode_triple(doc: dict, alg: VnAlgebra, ops: dict, tol: Tolerances):
 # -- task runners -------------------------------------------------------------
 
 
-def _k0_payload(k0, alg) -> dict:
-    return {"k0_class": list(k0.ranks), "tau": tau_star(k0, alg)}
-
-
 def _gap_or_none(g: float):
     return None if math.isinf(g) else g
+
+
+def _report(
+    task: str, k0: K0Class | None, alg: VnAlgebra, partition=(), min_gap=math.inf, **diagnostics
+) -> dict:
+    """The report layout of every task.  ``diagnostics`` follow the minimal
+    quotient gap in keyword order; ``k0`` is None for a task without a class."""
+    return {
+        "task": task,
+        "k0_class": [] if k0 is None else list(k0.ranks),
+        "tau": 0.0 if k0 is None else tau_star(k0, alg),
+        "partition": list(partition),
+        "diagnostics": {"min_quotient_gap": _gap_or_none(min_gap), **diagnostics},
+    }
 
 
 def _run_spectral_flow(doc, alg, ops, tol):
     path = decode_path(doc, ops)
     result = spectral_flow_result(path, alg, tol)
-    report = {"task": "spectral_flow"}
-    report.update(_k0_payload(result.k0, alg))
-    report["partition"] = list(result.partition)
-    report["diagnostics"] = {
-        "min_quotient_gap": _gap_or_none(result.certificate.min_gap),
-        "quotient_lipschitz": result.certificate.lipschitz,
-        "partition_trace": [
-            {
-                "t": step.t_end,
-                "gap": _gap_or_none(step.gap_end),
-                "step_class": list(step.contribution.ranks),
-            }
-            for step in result.steps
-        ],
-        "residuals": {},
-    }
-    return report, path
+    trace = [
+        {
+            "t": step.t_end,
+            "gap": _gap_or_none(step.gap_end),
+            "step_class": list(step.contribution.ranks),
+        }
+        for step in result.steps
+    ]
+    report = _report(
+        "spectral_flow",
+        result.k0,
+        alg,
+        result.partition,
+        min_gap=result.certificate.min_gap,
+        quotient_lipschitz=result.certificate.lipschitz,
+        partition_trace=trace,
+        residuals={},
+    )
+    return report, path.at
 
 
 def _run_sf_unitary(doc, alg, ops, tol):
     triple, raw = _decode_triple(doc, alg, ops, tol)
     _expect("unitary" in raw, "sf_unitary needs triple.unitary")
-    u = _named(ops, raw["unitary"], "triple unitary")
-    k0 = sf_unitary(triple, u, tol)
-    kas = check_kasparov_module(triple, tol)
-    report = {"task": "sf_unitary"}
-    report.update(_k0_payload(k0, alg))
-    report["partition"] = []
-    report["diagnostics"] = {
-        "min_quotient_gap": None,
-        "residuals": {
-            "commutator_quotient": quotient_norm(
-                u @ triple.p - triple.p @ u, alg
-            ),
-            "kasparov_worst": kas.worst(),
-        },
-    }
-    return report, None
+    result = sf_unitary_result(triple, _named(ops, raw["unitary"], "triple unitary"), tol)
+    kasparov_worst = check_kasparov_module(triple, tol).worst()
+    residuals = {**result.residuals, "kasparov_worst": kasparov_worst}
+    return _report("sf_unitary", result.k0, alg, residuals=residuals), None
 
 
 def _run_sf_unbounded(doc, alg, ops, tol):
     triple, _ = _decode_triple(doc, alg, ops, tol)
     a_path = decode_path(doc, ops)
-    k0 = sf_unbounded(triple, a_path, tol)
-    f0 = bounded_transform(triple.D + a_path.at(0.0), tol)
-    drift = max(
-        quotient_norm(bounded_transform(triple.D + a_path.at(t), tol) - f0, alg)
-        for t in np.linspace(0.0, 1.0, 9)
-    )
-    report = {"task": "sf_unbounded"}
-    report.update(_k0_payload(k0, alg))
-    report["partition"] = []
-    report["diagnostics"] = {
-        "min_quotient_gap": None,
-        "residuals": {"quotient_drift": drift},
-    }
-
-    def track_op(t: float) -> BlockOperator:
-        return bounded_transform(triple.D + a_path.at(t), tol)
-
-    return report, track_op
+    result = sf_unbounded_result(triple, a_path, tol)
+    report = _report("sf_unbounded", result.k0, alg, residuals=result.residuals)
+    return report, lambda t: bounded_transform(triple.D + a_path.at(t), tol)
 
 
 def _run_index(doc, alg, ops, tol):
@@ -360,47 +362,33 @@ def _run_index(doc, alg, ops, tol):
     _expect(isinstance(raw, dict), "index task needs an index section")
     for key in ("S", "p", "q"):
         _expect(key in raw, f"index section needs {key}")
-    s = _named(ops, raw["S"], "index S")
-    p = _named(ops, raw["p"], "index p")
-    q = _named(ops, raw["q"], "index q")
-    fred = is_corner_fredholm(s, p, q, alg, tol)
-    k0 = corner_index(s, p, q, alg, tol)
-    report = {"task": "index"}
-    report.update(_k0_payload(k0, alg))
-    report["partition"] = []
-    report["diagnostics"] = {
-        "min_quotient_gap": _gap_or_none(fred.min_gap),
-        "residuals": {},
-        "corner_blocks": [
-            {
-                "block": r.block,
-                "domain_rank": r.domain_rank,
-                "codomain_rank": r.codomain_rank,
-                "gap": _gap_or_none(r.smallest_singular_value),
-            }
-            for r in fred.blocks
-        ],
-    }
+    s, p, q = (_named(ops, raw[key], f"index {key}") for key in ("S", "p", "q"))
+    result, fred = corner_index_result(s, p, q, alg, tol)
+    corner_blocks = [
+        {
+            "block": r.block,
+            "domain_rank": r.domain_rank,
+            "codomain_rank": r.codomain_rank,
+            "gap": _gap_or_none(r.smallest_singular_value),
+        }
+        for r in fred.blocks
+    ]
+    report = _report(
+        "index",
+        result.k0,
+        alg,
+        min_gap=fred.min_gap,
+        residuals=result.residuals,
+        corner_blocks=corner_blocks,
+    )
     return report, None
 
 
 def _run_boundary(doc, alg, ops, tol):
     raw = doc.get("boundary")
     _expect(isinstance(raw, dict) and "S" in raw, "boundary task needs boundary.S")
-    s = _named(ops, raw["S"], "boundary S")
-    one = alg.identity()
-    k0 = boundary_map(s, alg, tol)
-    report = {"task": "boundary"}
-    report.update(_k0_payload(k0, alg))
-    report["partition"] = []
-    report["diagnostics"] = {
-        "min_quotient_gap": None,
-        "residuals": {
-            "quotient_unitarity_left": quotient_norm(s.H @ s - one, alg),
-            "quotient_unitarity_right": quotient_norm(s @ s.H - one, alg),
-        },
-    }
-    return report, None
+    result = boundary_map_result(_named(ops, raw["S"], "boundary S"), alg, tol)
+    return _report("boundary", result.k0, alg, residuals=result.residuals), None
 
 
 def _run_pairing(doc, alg, ops, tol):
@@ -412,58 +400,33 @@ def _run_pairing(doc, alg, ops, tol):
     u = _named(ops, raw["u"], "pairing u")
     q = _named(ops, raw["q"], "pairing q") if "q" in raw else None
     data = make_pairing_data(alg, p, u, q=q, tol=tol)
-    k0 = pairing_via_boundary(data, tol)
-    w_op = intermediate_operator(data, tol)
-    one = alg.identity()
-    report = {"task": "pairing"}
-    report.update(_k0_payload(k0, alg))
-    report["partition"] = []
-    report["diagnostics"] = {
-        "min_quotient_gap": None,
-        "residuals": {
-            "cos_identity": cos_identity_check(data.q, alg, tol),
-            "intermediate_unitarity_left": quotient_norm(w_op.H @ w_op - one, alg),
-            "intermediate_unitarity_right": quotient_norm(w_op @ w_op.H - one, alg),
-            "commutator_quotient": quotient_norm(p @ u - u @ p, alg),
-        },
-    }
-    return report, None
+    result = pairing_result(data, tol)
+    residuals = {"cos_identity": cos_identity_check(data.q, alg, tol), **result.residuals}
+    return _report("pairing", result.k0, alg, residuals=residuals), None
 
 
 def _run_checks(doc, alg, ops, tol):
     triple, _ = _decode_triple(doc, alg, ops, tol)
     kas = check_kasparov_module(triple, tol)
-    residuals: dict[str, Any] = {
-        "kasparov_commutator": dict(kas.commutator),
-        "kasparov_square": dict(kas.square_defect),
-        "kasparov_adjoint": dict(kas.adjoint_defect),
-    }
-    integral = {}
     names = list(triple.generators)
-    for a in names:
-        for b in names:
-            check = resolvent_integral_check(triple, a, b, tol)
-            integral[f"{a},{b}"] = check.residual
-    residuals["resolvent_integral"] = integral
-    report = {
-        "task": "checks",
-        "k0_class": [],
-        "tau": 0.0,
-        "partition": [],
-        "diagnostics": {
-            "min_quotient_gap": None,
-            "kasparov_passed": kas.passed,
-            "residuals": residuals,
+    residuals = {
+        "kasparov_commutator": kas.commutator,
+        "kasparov_square": kas.square_defect,
+        "kasparov_adjoint": kas.adjoint_defect,
+        "resolvent_integral": {
+            f"{a},{b}": resolvent_integral_check(triple, a, b, tol).residual
+            for a in names
+            for b in names
         },
     }
-    return report, None
+    return _report("checks", None, alg, kasparov_passed=kas.passed, residuals=residuals), None
 
 
 def _run_generate(doc, args) -> dict:
     model = doc.get("model")
     if model == "dirac":
-        m = _number(int, doc.get("m", 8), "m")
-        k = _number(int, doc.get("k", 1), "k")
+        m = _integer(doc.get("m", 8), "m")
+        k = _integer(doc.get("k", 1), "k")
         triple, u = dirac_circle(m, k)
         out = {
             "task": "sf_unitary",
@@ -475,15 +438,15 @@ def _run_generate(doc, args) -> dict:
                 "D": encode_operator(triple.D),
             },
             "triple": {"generators": ["1", "u", "u*"], "D": "D", "unitary": "u"},
-            "seed": _number(int, doc.get("seed", 0), "seed"),
+            "seed": _integer(doc.get("seed", 0), "seed"),
         }
         return out
     if model == "crossing":
-        n = _number(int, doc.get("n", 2), "n")
+        n = _integer(doc.get("n", 2), "n")
         crossings = doc.get("crossings", [])
         _expect(isinstance(crossings, list), "crossings must be a list")
-        crossings = [_number(int, c, "crossing") for c in crossings]
-        seed = _number(int, doc.get("seed", 0), "seed")
+        crossings = [_integer(c, "crossing") for c in crossings]
+        seed = _integer(doc.get("seed", 0), "seed")
         path = random_crossing_path(n, crossings, seed)
         operators = {}
         keyframes = []
@@ -506,8 +469,7 @@ def _run_generate(doc, args) -> dict:
 def _write_tracks(track, out_file: str) -> None:
     lines = ["t,block,index,eigenvalue"]
     for t in np.linspace(0.0, 1.0, _TRACK_SAMPLES):
-        op = track(t) if callable(track) else track.at(t)
-        for bi, block in enumerate(op.blocks):
+        for bi, block in enumerate(track(t).blocks):
             w = _eigvalsh(block)
             for ei, val in enumerate(w):
                 lines.append(
@@ -517,6 +479,8 @@ def _write_tracks(track, out_file: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# A runner returns the report and, for a task with a path, t -> the operator
+# whose eigenvalues the tracks CSV lists (None otherwise).
 _RUNNERS = {
     "spectral_flow": _run_spectral_flow,
     "sf_unitary": _run_sf_unitary,
@@ -539,7 +503,7 @@ def run_task(doc: dict, args: argparse.Namespace) -> tuple[dict, Any]:
     tol = decode_tolerances(doc, args)
     report, track = _RUNNERS[task](doc, alg, ops, tol)
     seed = doc.get("seed", args.seed)
-    report["seed"] = _number(int, seed, "seed") if seed is not None else None
+    report["seed"] = _integer(seed, "seed") if seed is not None else None
     report["version"] = __version__
     return report, track
 
@@ -627,12 +591,7 @@ def main(argv: list[str] | None = None) -> int:
 
         report, track = run_task(doc, args)
         if args.tracks is not None:
-            if track is None and "path" in doc:
-                alg = decode_algebra(doc.get("algebra"))
-                ops = decode_operators(doc, alg)
-                track = decode_path(doc, ops)
-            if track is None:
-                raise SchemaError("--tracks needs a task with a path")
+            _expect(track is not None, "--tracks needs a task with a path")
             _write_tracks(track, args.tracks)
         _emit(canonical_json(report), args.out)
         return 0

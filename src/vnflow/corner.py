@@ -19,6 +19,7 @@ from .errors import NotInIdealError, PreconditionError
 from .model import (
     DEFAULT_TOL,
     BlockOperator,
+    CheckedClass,
     K0Class,
     Tolerances,
     VnAlgebra,
@@ -33,7 +34,9 @@ __all__ = [
     "CornerBlockReport",
     "FredholmReport",
     "is_corner_fredholm",
+    "corner_index_result",
     "corner_index",
+    "boundary_map_result",
     "boundary_map",
 ]
 
@@ -136,17 +139,18 @@ def _require_ideal_support(
             )
 
 
-def corner_index(
+def corner_index_result(
     s: BlockOperator,
     p: BlockOperator,
     q: BlockOperator,
     alg: VnAlgebra,
     tol: Tolerances = DEFAULT_TOL,
-) -> K0Class:
+) -> tuple[CheckedClass, FredholmReport]:
     """The index of a corner Fredholm operator as a K-class of the ideal.
 
     The class is [kernel(S) meet range(p)] - [kernel(S*) meet range(q)]; both
-    intersections are verified to be supported in the ideal blocks.
+    intersections are verified to be supported in the ideal blocks.  The
+    Fredholm report that licensed the class is returned with it.
     """
     report = is_corner_fredholm(s, p, q, alg, tol)
     if not report.fredholm:
@@ -157,21 +161,33 @@ def corner_index(
     ker_cod = proj_intersection(null_projection(s.H, tol), q, tol)
     _require_ideal_support(ker_dom, alg, tol, "kernel intersection")
     _require_ideal_support(ker_cod, alg, tol, "cokernel intersection")
-    return k0_of_difference(ker_dom, ker_cod, alg, tol)
+    return CheckedClass(k0_of_difference(ker_dom, ker_cod, alg, tol), {}), report
 
 
-def boundary_map(
+def corner_index(
+    s: BlockOperator,
+    p: BlockOperator,
+    q: BlockOperator,
+    alg: VnAlgebra,
+    tol: Tolerances = DEFAULT_TOL,
+) -> K0Class:
+    """The class of ``corner_index_result``."""
+    return corner_index_result(s, p, q, alg, tol)[0].k0
+
+
+def boundary_map_result(
     s: BlockOperator,
     alg: VnAlgebra,
     tol: Tolerances = DEFAULT_TOL,
     eps_gap: float | None = None,
-) -> K0Class:
+) -> CheckedClass:
     """Connecting map applied to the class of a quotient unitary.
 
     For a lift whose quotient image is unitary, the image of the connecting
     map is [kernel projection of S] - [kernel projection of S*].  The
     quotient unitarity is a precondition, checked against ``eps_gap``
-    (defaults to the gap tolerance).
+    (defaults to the gap tolerance); its two residuals are returned as
+    ``quotient_unitarity_left`` and ``quotient_unitarity_right``.
     """
     alg.require_conformal(s)
     eps = tol.gap if eps_gap is None else eps_gap
@@ -183,6 +199,17 @@ def boundary_map(
             f"quotient image is not unitary: residuals ({left:.3e}, {right:.3e}) "
             f"exceed {eps:.3e}"
         )
-    return k0_of_difference(
-        null_projection(s, tol), null_projection(s.H, tol), alg, tol
+    k0 = k0_of_difference(null_projection(s, tol), null_projection(s.H, tol), alg, tol)
+    return CheckedClass(
+        k0, {"quotient_unitarity_left": left, "quotient_unitarity_right": right}
     )
+
+
+def boundary_map(
+    s: BlockOperator,
+    alg: VnAlgebra,
+    tol: Tolerances = DEFAULT_TOL,
+    eps_gap: float | None = None,
+) -> K0Class:
+    """The class of ``boundary_map_result``."""
+    return boundary_map_result(s, alg, tol, eps_gap).k0

@@ -1,5 +1,18 @@
 """Exception hierarchy for the block-model operator toolkit."""
 
+__all__ = [
+    "VnFlowError",
+    "ModelError",
+    "SchemaError",
+    "PreconditionError",
+    "NotInIdealError",
+    "SpectralGapError",
+    "PathError",
+    "PartitionError",
+    "NumericsError",
+    "ConsistencyError",
+]
+
 
 class VnFlowError(Exception):
     """Base class for every error raised by this package."""

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "VnAlgebra",
     "BlockOperator",
     "K0Class",
+    "CheckedClass",
     "OperatorPath",
     "quotient_norm",
     "tau",
@@ -211,18 +213,6 @@ class BlockOperator:
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def identity(cls, dims: Sequence[int]) -> "BlockOperator":
-        return cls([np.eye(d, dtype=complex) for d in dims])
-
-    @classmethod
-    def zeros(cls, dims: Sequence[int]) -> "BlockOperator":
-        return cls([np.zeros((d, d), dtype=complex) for d in dims])
-
-    @classmethod
-    def from_diagonals(cls, diagonals: Sequence[Sequence[complex]]) -> "BlockOperator":
-        return cls([np.diag(np.asarray(d, dtype=complex)) for d in diagonals])
-
     def map_blocks(self, fn: Callable[[np.ndarray], np.ndarray]) -> "BlockOperator":
         return BlockOperator([fn(b) for b in self.blocks])
 
@@ -394,6 +384,18 @@ class K0Class:
         return K0Class(n * r for r in self.ranks)
 
     __rmul__ = __mul__
+
+
+@dataclass(frozen=True)
+class CheckedClass:
+    """A K-class with the residuals of the quotient conditions it was derived
+    under, each the value that was compared with its tolerance."""
+
+    k0: K0Class
+    residuals: Mapping[str, float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "residuals", MappingProxyType(dict(self.residuals)))
 
 
 class OperatorPath:

@@ -19,13 +19,14 @@ from .errors import ConsistencyError, ModelError, NumericsError, PreconditionErr
 from .model import (
     DEFAULT_TOL,
     BlockOperator,
+    CheckedClass,
     K0Class,
     Tolerances,
     VnAlgebra,
     _max_norm,
     quotient_norm,
 )
-from .corner import boundary_map
+from .corner import boundary_map, boundary_map_result
 from .projections import nearest_projection
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "unitary_log",
     "cos_identity_check",
     "intermediate_operator",
+    "pairing_result",
     "pairing_via_boundary",
 ]
 
@@ -101,7 +103,8 @@ class PairingData:
     """Inputs of an odd pairing: p (projection mod ideal), unitary u, log q.
 
     ``psi`` is the block map carrying the unitary side into the algebra of
-    the projection; the identity embedding when not supplied.
+    the projection; the identity embedding when not supplied.  ``commutator``
+    is the checked quotient norm of [p, psi(u)].
     """
 
     alg: VnAlgebra
@@ -109,6 +112,7 @@ class PairingData:
     u: BlockOperator
     q: BlockOperator
     psi: Callable[[BlockOperator], BlockOperator]
+    commutator: float
 
 
 def make_pairing_data(
@@ -129,10 +133,10 @@ def make_pairing_data(
     alg.require_conformal(p)
     alg.require_conformal(u)
     u.require_unitary("pairing unitary", tol)
-    if quotient_norm(p @ p - p, alg) > tol.gap:
+    idempotency = quotient_norm(p @ p - p, alg)
+    if idempotency > tol.gap:
         raise PreconditionError(
-            "p must be a projection modulo the ideal "
-            f"(quotient defect {quotient_norm(p @ p - p, alg):.3e})"
+            f"p must be a projection modulo the ideal (quotient defect {idempotency:.3e})"
         )
     p.require_selfadjoint("p", tol)
 
@@ -173,7 +177,7 @@ def make_pairing_data(
         raise PreconditionError(
             f"[p, psi(u)] is not ideal-supported: quotient norm {commutator:.3e}"
         )
-    return PairingData(alg=alg, p=p, u=u, q=q, psi=psi_map)
+    return PairingData(alg=alg, p=p, u=u, q=q, psi=psi_map, commutator=commutator)
 
 
 def intermediate_operator(
@@ -199,15 +203,16 @@ def intermediate_operator(
     return w_op
 
 
-def pairing_via_boundary(
+def pairing_result(
     data: PairingData, tol: Tolerances = DEFAULT_TOL
-) -> K0Class:
+) -> CheckedClass:
     """The odd pairing as the boundary class of p psi(u) p + (1 - p).
 
     When p is only a projection modulo the ideal it is first snapped to the
     nearest honest projection.  The boundary class of the intermediate
     operator is computed as well; disagreement flags a violated hypothesis,
-    typically a commutator [p, psi(u)] that is not ideal-supported.
+    typically a commutator [p, psi(u)] that is not ideal-supported.  The
+    residuals are the intermediate operator's quotient unitarity and [p, psi(u)].
     """
     alg = data.alg
     one = alg.identity()
@@ -217,11 +222,24 @@ def pairing_via_boundary(
     lift = p @ data.psi(data.u) @ p + (one - p)
     via_lift = boundary_map(lift, alg, tol, eps_gap=10.0 * tol.gap)
     w_op = intermediate_operator(data, tol)
-    via_intermediate = boundary_map(w_op, alg, tol, eps_gap=10.0 * tol.gap)
-    if via_lift != via_intermediate:
+    via_intermediate = boundary_map_result(w_op, alg, tol, eps_gap=10.0 * tol.gap)
+    if via_lift != via_intermediate.k0:
         raise ConsistencyError(
             "pairing routes disagree "
-            f"({via_lift.ranks} vs {via_intermediate.ranks}); "
+            f"({via_lift.ranks} vs {via_intermediate.k0.ranks}); "
             "check that [p, psi(u)] is ideal-supported"
         )
-    return via_lift
+    unitarity = via_intermediate.residuals
+    residuals = {
+        "intermediate_unitarity_left": unitarity["quotient_unitarity_left"],
+        "intermediate_unitarity_right": unitarity["quotient_unitarity_right"],
+        "commutator_quotient": data.commutator,
+    }
+    return CheckedClass(via_lift, residuals)
+
+
+def pairing_via_boundary(
+    data: PairingData, tol: Tolerances = DEFAULT_TOL
+) -> K0Class:
+    """The class of ``pairing_result``."""
+    return pairing_result(data, tol).k0

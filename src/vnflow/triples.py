@@ -26,6 +26,7 @@ from .errors import (
 from .model import (
     DEFAULT_TOL,
     BlockOperator,
+    CheckedClass,
     K0Class,
     OperatorPath,
     Tolerances,
@@ -48,10 +49,15 @@ __all__ = [
     "check_kasparov_module",
     "IntegralCheck",
     "resolvent_integral_check",
+    "sf_unitary_result",
     "sf_unitary",
+    "sf_unbounded_result",
     "sf_unbounded",
     "pushforward_sf",
 ]
+
+_INTEGRAL_TARGET = 1e-8  # error budget of the resolvent-integral quadrature
+_DRIFT_SAMPLES = 9  # equally spaced drift samples of sf_unbounded, besides the keyframes
 
 
 def bounded_transform(d: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
@@ -223,7 +229,6 @@ def resolvent_integral_check(
     a: BlockOperator | str,
     b: BlockOperator | str,
     tol: Tolerances = DEFAULT_TOL,
-    target: float = 1e-8,
 ) -> IntegralCheck:
     """Evaluate D [(1 + D^2)^(-1/2), a] b through its resolvent integral.
 
@@ -254,7 +259,7 @@ def resolvent_integral_check(
         theta_max = 0.25 * math.pi
         truncation = 0.0
     else:
-        tail_angle = min(0.5 * target * math.pi / (5.0 * scale), 0.25 * math.pi)
+        tail_angle = min(0.5 * _INTEGRAL_TARGET * math.pi / (5.0 * scale), 0.25 * math.pi)
         theta_max = 0.5 * math.pi - tail_angle
         truncation = (5.0 * scale / math.pi) * tail_angle
     lambda_max = math.tan(theta_max) ** 2
@@ -275,7 +280,7 @@ def resolvent_integral_check(
     counter = [3]
     fa, fm, fb = integrand(0.0), integrand(0.5 * theta_max), integrand(theta_max)
     whole = _simpson(0.0, theta_max, fa, fm, fb)
-    eps_rate = 0.5 * target / theta_max
+    eps_rate = 0.5 * _INTEGRAL_TARGET / theta_max
     total = _adaptive_simpson(
         integrand, 0.0, theta_max, fa, fm, fb, whole, eps_rate, 44, counter
     )
@@ -287,7 +292,7 @@ def resolvent_integral_check(
 
     residual = _max_norm(t - dbk for t, dbk in zip(total, direct_blocks))
     direct_norm = _max_norm(direct_blocks)
-    if residual > max(1000.0 * target, 1e-6 * direct_norm):
+    if residual > max(1000.0 * _INTEGRAL_TARGET, 1e-6 * direct_norm):
         raise NumericsError(
             f"resolvent integral did not converge: residual {residual:.3e} "
             f"(truncation bound {truncation:.3e})"
@@ -309,15 +314,16 @@ def _as_unitary(triple: VnTriple, u: BlockOperator | str, tol: Tolerances):
     return u
 
 
-def sf_unitary(
+def sf_unitary_result(
     triple: VnTriple, u: BlockOperator | str, tol: Tolerances = DEFAULT_TOL
-) -> K0Class:
+) -> CheckedClass:
     """Spectral flow from D to u* D u, evaluated by the boundary formula.
 
-    Requires [u, p] to be supported in the ideal blocks.  Three routes are
-    evaluated and must agree: the boundary class of p u p + (1 - p), the
-    boundary class of the affine-shift version built from (F + 1)/2, and the
-    corner index of p u p in the p-corner.
+    Requires [u, p] to be supported in the ideal blocks; its quotient norm is
+    returned as ``commutator_quotient``.  Three routes are evaluated and must
+    agree: the boundary class of p u p + (1 - p), the boundary class of the
+    affine-shift version built from (F + 1)/2, and the corner index of p u p
+    in the p-corner.
     """
     u = _as_unitary(triple, u, tol)
     alg = triple.alg
@@ -337,21 +343,26 @@ def sf_unitary(
             "boundary and corner routes disagree: "
             f"{via_projection.ranks} / {via_affine.ranks} / {via_corner.ranks}"
         )
-    return via_projection
+    return CheckedClass(via_projection, {"commutator_quotient": commutator})
 
 
-def sf_unbounded(
-    triple: VnTriple,
-    a_path: OperatorPath,
-    tol: Tolerances = DEFAULT_TOL,
-    drift_samples: int = 9,
+def sf_unitary(
+    triple: VnTriple, u: BlockOperator | str, tol: Tolerances = DEFAULT_TOL
 ) -> K0Class:
+    """The class of ``sf_unitary_result``."""
+    return sf_unitary_result(triple, u, tol).k0
+
+
+def sf_unbounded_result(
+    triple: VnTriple, a_path: OperatorPath, tol: Tolerances = DEFAULT_TOL
+) -> CheckedClass:
     """Spectral flow along t -> D + A_t, reduced to the endpoints.
 
     The bounded transforms of all the perturbed operators must share one
-    quotient image; the drift is sampled and a violation reported.  The class
-    depends on the endpoints only and is the usual difference of kernel
-    intersections of the endpoint spectral projections.
+    quotient image; the drift is sampled at ``_DRIFT_SAMPLES`` equal steps and
+    at every keyframe, and its largest value is returned as ``quotient_drift``.
+    The class depends on the endpoints only and is the usual difference of
+    kernel intersections of the endpoint spectral projections.
     """
     alg = triple.alg
     for t, op in a_path.keyframes:
@@ -359,9 +370,10 @@ def sf_unbounded(
         op.require_selfadjoint(f"perturbation keyframe at t = {t:g}", tol)
 
     f0 = bounded_transform(triple.D + a_path.at(0.0), tol)
+    worst = 0.0
     if not alg.all_ideal:
         grid = sorted(
-            set(np.linspace(0.0, 1.0, drift_samples).tolist()) | set(a_path.times)
+            set(np.linspace(0.0, 1.0, _DRIFT_SAMPLES).tolist()) | set(a_path.times)
         )
         for t in grid:
             ft = bounded_transform(triple.D + a_path.at(t), tol)
@@ -371,16 +383,25 @@ def sf_unbounded(
                     f"quotient image of the bounded transform drifts at t = {t:g}: "
                     f"{drift:.3e} > {tol.gap:.3e}"
                 )
+            worst = max(worst, drift)
 
     p0 = chi(f0, tol)
     p1 = chi(bounded_transform(triple.D + a_path.at(1.0), tol), tol)
     one = alg.identity()
-    return k0_of_difference(
+    k0 = k0_of_difference(
         proj_intersection(one - p1, p0, tol),
         proj_intersection(one - p0, p1, tol),
         alg,
         tol,
     )
+    return CheckedClass(k0, {"quotient_drift": worst})
+
+
+def sf_unbounded(
+    triple: VnTriple, a_path: OperatorPath, tol: Tolerances = DEFAULT_TOL
+) -> K0Class:
+    """The class of ``sf_unbounded_result``."""
+    return sf_unbounded_result(triple, a_path, tol).k0
 
 
 def pushforward_sf(
@@ -411,6 +432,7 @@ def pushforward_sf(
     one = alg.identity()
     f = triple.F
     resolvent = one - f @ f
+    commutators = {name: f @ a - a @ f for name, a in triple.generators.items()}
     outside = [i for i in range(len(alg.blocks)) if not mask[i]]
     for i in outside:
         support = _spectral_norm(resolvent.blocks[i])
@@ -419,8 +441,7 @@ def pushforward_sf(
                 f"sub-ideal too small: (1 + D^2)^(-1) has norm {support:.3e} "
                 f"on unselected block {i}"
             )
-        for name, a in triple.generators.items():
-            c = f @ a - a @ f
+        for name, c in commutators.items():
             support = _spectral_norm(c.blocks[i])
             if support > tol.gap:
                 raise PreconditionError(

@@ -263,9 +263,82 @@ def test_mistyped_numbers_exit_2(tmp_path):
         doc_with(lambda d: d.update(tolerances={"kernel": "small"})),
         _write(tmp_path, "gen.json", {"task": "generate", "model": "dirac", "m": "x"}),
         _write(tmp_path, "gen.json", {"task": "generate", "model": "crossing", "seed": [1]}),
+        # booleans and integers are decoded strictly, not cast
+        doc_with(lambda d: d["algebra"]["blocks"][0].update(ideal="false")),
+        doc_with(lambda d: d["algebra"]["blocks"][0].update(ideal=0)),
+        doc_with(lambda d: d["algebra"]["blocks"][0].update(dim=2.7)),
+        doc_with(lambda d: d["algebra"]["blocks"][0].update(dim=True)),
+        doc_with(lambda d: d["algebra"]["blocks"][0].update(weight=True)),
+        doc_with(lambda d: d["path"]["keyframes"][1].update(t="1.0")),
+        doc_with(lambda d: d.update(seed=7.5)),
+        doc_with(lambda d: d.update(seed=True)),
+        doc_with(lambda d: d.update(tolerances={"max_depth": 2.5})),
+        doc_with(lambda d: d.update(tolerances={"max_depth": True})),
+        _write(tmp_path, "gen.json", {"task": "generate", "model": "dirac", "m": 2.5}),
+        _write(tmp_path, "gen.json", {"task": "generate", "model": "dirac", "k": True}),
+        _write(tmp_path, "gen.json", {"task": "generate", "model": "crossing", "n": "2"}),
+        _write(
+            tmp_path, "gen.json", {"task": "generate", "model": "crossing", "crossings": [1.5]}
+        ),
     ]
     for path in bad_docs:
         assert main(["run", path]) == 2
+
+
+def test_integral_floats_decode_as_integers(tmp_path):
+    doc = _calibration_doc()
+    doc["algebra"]["blocks"][0]["dim"] = 2.0
+    doc["seed"] = 7.0
+    out = tmp_path / "report.json"
+    assert main(["run", _write(tmp_path, "ok.json", doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["k0_class"] == [-1]
+    assert report["seed"] == 7
+
+
+def test_tracks_need_a_task_with_a_path(tmp_path, capsys):
+    doc = _calibration_doc()
+    doc["task"] = "boundary"
+    doc["boundary"] = {"S": "B1"}
+    path = _write(tmp_path, "b.json", doc)
+    assert main(["run", path]) == 0
+    assert main(["run", path, "--tracks", str(tmp_path / "tracks.csv")]) == 2
+    assert "--tracks needs a task with a path" in capsys.readouterr().err
+
+
+def test_sf_unbounded_reports_the_drift_it_checked(tmp_path):
+    # The non-ideal block has D = diag(1e8, -1e8), whose bounded transform is
+    # diag(1, -1) to rounding.  The keyframe at t = 0.3 brings that block to
+    # diag(1, -1), whose transform is diag(1, -1) / sqrt(2): the largest drift
+    # is 1 - 1/sqrt(2), at a time off the equally spaced samples.
+    alg = weighted_model([1, 2], [1.0, 1.0], [True, False])
+    big = np.diag([1e8, -1e8])
+    ops = {
+        "1": BlockOperator([np.eye(1), np.eye(2)]),
+        "D": BlockOperator([np.eye(1), big]),
+        "zero": BlockOperator([np.zeros((1, 1)), np.zeros((2, 2))]),
+        "A": BlockOperator([np.zeros((1, 1)), np.diag([1.0, -1.0]) - big]),
+    }
+    doc = {
+        "task": "sf_unbounded",
+        "algebra": encode_algebra(alg),
+        "operators": {name: encode_operator(op) for name, op in ops.items()},
+        "triple": {"generators": ["1"], "D": "D"},
+        "path": {
+            "keyframes": [
+                {"t": 0.0, "op": "zero"},
+                {"t": 0.3, "op": "A"},
+                {"t": 1.0, "op": "zero"},
+            ]
+        },
+        "tolerances": {"gap": 0.5},
+    }
+    out = tmp_path / "report.json"
+    assert main(["run", _write(tmp_path, "sfb.json", doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["k0_class"] == [0]
+    drift = report["diagnostics"]["residuals"]["quotient_drift"]
+    assert abs(drift - (1.0 - 1.0 / np.sqrt(2.0))) <= 1e-12
 
 
 def test_out_of_range_tolerances_exit_2(tmp_path):

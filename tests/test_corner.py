@@ -9,7 +9,9 @@ from vnflow import (
     BlockOperator,
     PreconditionError,
     boundary_map,
+    boundary_map_result,
     corner_index,
+    corner_index_result,
     is_corner_fredholm,
     polar_phase,
     quotient_norm,
@@ -249,3 +251,34 @@ def test_boundary_class_per_block_balances():
             mats.append(a @ b)
         s = BlockOperator(mats)
         assert boundary_map(s, alg).is_zero
+
+
+# -- result objects ------------------------------------------------------------------
+
+
+def test_boundary_map_result_carries_the_checked_residuals():
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    s = BlockOperator([np.diag([1.0, 0.0]), np.diag([1.0, 1.0 + 1e-10])])
+    result = boundary_map_result(s, alg)
+    assert result.k0 == boundary_map(s, alg)
+    assert list(result.residuals) == ["quotient_unitarity_left", "quotient_unitarity_right"]
+    for value in result.residuals.values():
+        assert value == pytest.approx(2e-10, rel=1e-3)
+    with pytest.raises(TypeError):
+        result.residuals["quotient_unitarity_left"] = 0.0
+
+
+def test_corner_index_result_returns_its_fredholm_report():
+    alg = weighted_model([4, 2], [1.0, 1.0], [True, False])
+    shift = np.zeros((4, 4))
+    for j in range(3):
+        shift[j + 1, j] = 1.0
+    p = BlockOperator([np.diag([1.0, 1.0, 1.0, 0.0]), np.eye(2)])
+    q = BlockOperator([np.diag([0.0, 1.0, 1.0, 0.0]), np.eye(2)])
+    s = q @ BlockOperator([shift, np.diag([2.0, 0.5])]) @ p
+    result, report = corner_index_result(s, p, q, alg)
+    assert result.k0 == corner_index(s, p, q, alg)
+    assert result.k0.ranks == (1,)
+    assert dict(result.residuals) == {}
+    assert report == is_corner_fredholm(s, p, q, alg)
+    assert report.min_gap == pytest.approx(0.5)

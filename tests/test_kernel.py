@@ -145,3 +145,34 @@ def test_guard_sees_the_patterns():
     assert len(_violations(ast.parse(source), defect_compares=True)) == 5
     generators = ast.parse((SRC / "generators.py").read_text(encoding="utf-8"))
     assert _violations(generators, defect_compares=False)
+
+
+# -- the CLI serializes, it does not recompute ------------------------------------
+
+_LIBRARY_CHECKS = ("quotient_norm", "is_corner_fredholm", "intermediate_operator")
+
+
+def _check_calls(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _LIBRARY_CHECKS:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_cli_does_not_recompute_library_checks():
+    """Report residuals come from the library's result objects."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert _check_calls(tree) == []
+
+
+def test_cli_guard_sees_the_calls():
+    source = (
+        "r = quotient_norm(a - b, alg)\n"
+        "f = corner.is_corner_fredholm(s, p, q, alg, tol)\n"
+        "w = intermediate_operator(data, tol)\n"
+    )
+    assert len(_check_calls(ast.parse(source))) == 3

@@ -14,6 +14,7 @@ from vnflow import (
     dirac_circle,
     intermediate_operator,
     make_pairing_data,
+    pairing_result,
     pairing_via_boundary,
     quotient_norm,
     sf_unitary,
@@ -246,3 +247,27 @@ def test_pairing_boundary_is_lift_independent():
             [0.3 * random_selfadjoint(4, rng), np.zeros((3, 3))]
         )
         assert boundary_map(lift + bump, alg, eps_gap=1e-7) == reference
+
+
+# -- result objects ------------------------------------------------------------------
+
+
+def test_pairing_result_carries_the_checked_residuals():
+    rng = np.random.default_rng(31)
+    alg = weighted_model([3, 2], [1.0, 1.0], [True, False])
+    p = BlockOperator([random_projection(3, 2, rng), np.diag([1.0, 0.0])])
+    u = BlockOperator([haar_unitary(3, rng), np.eye(2)])
+    data = make_pairing_data(alg, p, u)
+    result = pairing_result(data)
+    assert result.k0 == pairing_via_boundary(data)
+    assert list(result.residuals) == [
+        "intermediate_unitarity_left",
+        "intermediate_unitarity_right",
+        "commutator_quotient",
+    ]
+    assert result.residuals["commutator_quotient"] == data.commutator
+    assert data.commutator == quotient_norm(p @ u - u @ p, alg)
+    w_op = intermediate_operator(data)
+    one = alg.identity()
+    left = quotient_norm(w_op.H @ w_op - one, alg)
+    assert result.residuals["intermediate_unitarity_left"] == left

@@ -10,6 +10,7 @@ from vnflow import (
     ModelError,
     OperatorPath,
     PreconditionError,
+    Tolerances,
     bounded_transform,
     check_kasparov_module,
     dirac_circle,
@@ -18,7 +19,9 @@ from vnflow import (
     quotient_norm,
     resolvent_integral_check,
     sf_unbounded,
+    sf_unbounded_result,
     sf_unitary,
+    sf_unitary_result,
     spectral_flow,
     weighted_model,
 )
@@ -367,3 +370,34 @@ def test_dirac_consistency_square():
                 make_pairing_data(triple.alg, triple.p, u)
             )
             assert flow_u == flow_unb == flow_path == flow_pairing
+
+
+# -- result objects ------------------------------------------------------------------
+
+
+def test_sf_unitary_result_carries_the_commutator():
+    triple, u = dirac_circle(3, 1)
+    result = sf_unitary_result(triple, u)
+    assert result.k0 == sf_unitary(triple, u)
+    assert dict(result.residuals) == {"commutator_quotient": 0.0}
+
+
+def test_sf_unbounded_result_reports_the_drift_at_keyframes():
+    # On the non-ideal block D = diag(1e8, -1e8) transforms to diag(1, -1);
+    # the keyframe at t = 0.3 moves it to diag(1, -1) / sqrt(2).
+    alg = weighted_model([1, 2], [1.0, 1.0], [True, False])
+    big = np.diag([1e8, -1e8])
+    one = alg.identity()
+    triple = make_triple(alg, {"1": one}, BlockOperator([np.eye(1), big]))
+    zero = alg.zero()
+    bump = BlockOperator([np.zeros((1, 1)), np.diag([1.0, -1.0]) - big])
+    path = OperatorPath([(0.0, zero), (0.3, bump), (1.0, zero)])
+    with pytest.raises(ModelError):
+        sf_unbounded(triple, path)
+    loose = Tolerances(gap=0.5)
+    result = sf_unbounded_result(triple, path, loose)
+    assert result.k0 == sf_unbounded(triple, path, loose)
+    assert result.residuals["quotient_drift"] == pytest.approx(1.0 - 1.0 / np.sqrt(2.0))
+    all_ideal = make_triple(single_block_alg(2), {"1": op(np.eye(2))}, op(np.eye(2)))
+    flat = OperatorPath.linear(op(np.zeros((2, 2))), op(np.diag([0.5, -0.5])))
+    assert sf_unbounded_result(all_ideal, flat).residuals["quotient_drift"] == 0.0
