@@ -68,6 +68,9 @@ _TRACK_SAMPLES = 201
 # can hold, so b @ b and b.conj().T @ b cannot overflow.
 MAX_ENTRY = 1e150
 
+# The JSON number types; bool, a subclass of int, is left out.
+_NUMBER = (int, float)
+
 
 # -- canonical JSON -----------------------------------------------------------
 
@@ -162,7 +165,10 @@ def _integer(value: Any, what: str) -> int:
 
 
 def decode_algebra(data: Any) -> VnAlgebra:
-    _expect(isinstance(data, dict) and "blocks" in data, "algebra needs a blocks list")
+    _expect(
+        isinstance(data, dict) and isinstance(data.get("blocks"), list),
+        "algebra needs a blocks list",
+    )
     blocks = []
     for i, raw in enumerate(data["blocks"]):
         _expect(isinstance(raw, dict) and "dim" in raw, f"block {i} needs a dim")
@@ -195,14 +201,23 @@ def decode_matrix(data: Any, name: str) -> np.ndarray:
         _expect(len(row) == width, f"operator {name}: ragged matrix")
         entries = []
         for entry in row:
-            _expect(
-                isinstance(entry, list) and len(entry) == 2,
-                f"operator {name}: entries must be [re, im] pairs",
-            )
+            # a plain type test, not _real: documents carry thousands of entries
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and type(entry[0]) in _NUMBER
+                and type(entry[1]) in _NUMBER
+            ):
+                raise SchemaError(
+                    f"operator {name}: entries must be [re, im] pairs of numbers, "
+                    f"got {entry!r}"
+                )
             try:
-                entries.append(complex(float(entry[0]), float(entry[1])))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f"operator {name}: entry {entry!r} is not a number") from exc
+                entries.append(complex(entry[0], entry[1]))
+            except OverflowError as exc:
+                raise SchemaError(
+                    f"operator {name}: entry {entry!r} exceeds {MAX_ENTRY:g} in modulus"
+                ) from exc
         rows.append(entries)
     mat = np.array(rows, dtype=complex)
     _expect(mat.shape[0] == mat.shape[1], f"operator {name}: matrix is not square")
@@ -244,7 +259,10 @@ def _named(ops: dict[str, BlockOperator], name: Any, role: str) -> BlockOperator
 
 def decode_path(doc: dict, ops: dict[str, BlockOperator]) -> OperatorPath:
     raw = doc.get("path")
-    _expect(isinstance(raw, dict) and "keyframes" in raw, "task needs a path with keyframes")
+    _expect(
+        isinstance(raw, dict) and isinstance(raw.get("keyframes"), list),
+        "task needs a path with a keyframes list",
+    )
     frames = []
     for i, kf in enumerate(raw["keyframes"]):
         _expect(

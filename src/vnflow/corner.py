@@ -199,10 +199,15 @@ def boundary_map_result(
             f"quotient image is not unitary: residuals ({left:.3e}, {right:.3e}) "
             f"exceed {eps:.3e}"
         )
-    k0 = k0_of_difference(null_projection(s, tol), null_projection(s.H, tol), alg, tol)
     return CheckedClass(
-        k0, {"quotient_unitarity_left": left, "quotient_unitarity_right": right}
+        _connecting_class(s, alg, tol),
+        {"quotient_unitarity_left": left, "quotient_unitarity_right": right},
     )
+
+
+def _connecting_class(s: BlockOperator, alg: VnAlgebra, tol: Tolerances) -> K0Class:
+    """[N(S)] - [N(S*)] for a lift whose quotient unitarity has been checked."""
+    return k0_of_difference(null_projection(s, tol), null_projection(s.H, tol), alg, tol)
 
 
 def boundary_map(

@@ -2,32 +2,31 @@
 
 The pipeline has three stages: certify that the whole path stays quotient
 invertible (adaptive gap monitoring with a Weyl-type certificate on the
-piecewise linear segments), find a partition on which consecutive quotient
-spectral projections stay within distance 1/2, and evaluate the defining sum
-of kernel-intersection classes.  The closed-form expression over the whole
-partition is evaluated as well and must agree with the sum before anything is
-returned.
+piecewise linear segments), partition it from that certificate so that the
+quotient spectral projections provably stay within distance 1/2 on every
+interval, and evaluate the defining sum of kernel-intersection classes.  The
+closed form over the whole partition must agree with the sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConsistencyError, PartitionError, PathError
 from .model import (
     DEFAULT_TOL,
-    BlockOperator,
     K0Class,
     OperatorPath,
     Tolerances,
     VnAlgebra,
     _eigvalsh,
+    _spectral_norm,
     k0_of_difference,
-    quotient_norm,
     tau_star,
 )
 from .projections import chi, null_projection, proj_intersection
@@ -44,7 +43,33 @@ __all__ = [
 ]
 
 _CERTIFY_MAX_DEPTH = 48
-_PARTITION_GRID_DEPTH = 3
+
+
+class _Spectra(dict):
+    """Memo t -> (gap, sides) of the quotient spectrum along one path: the
+    smallest eigenvalue modulus, and per non-ideal block (columns) the smallest
+    eigenvalue on chi's nonnegative side, the smallest modulus on its negative
+    side (inf for an empty side) and the size of the negative side (rows)."""
+
+    def __init__(self, path: OperatorPath, alg: VnAlgebra, tol: Tolerances) -> None:
+        super().__init__()
+        self.path, self.alg, self.tol = path, alg, tol
+        self.starts = np.cumsum([0] + [alg.dims[i] for i in alg.nonideal_indices][:-1])
+        # chi splits at -kernel_eps(norm), which lies in [-eps_max, 0] along
+        # the path: no norm exceeds the largest keyframe norm.
+        self.eps_max = tol.kernel_eps(max(op.norm() for _, op in path.keyframes))
+
+    def __missing__(self, t: float) -> tuple[float, np.ndarray]:
+        op = self.path.at(t)
+        w = np.concatenate([_eigvalsh(op.blocks[i]) for i in self.alg.nonideal_indices])
+        near_zero = np.any((w < 0.0) & (w >= -self.eps_max))
+        neg = w < (-self.tol.kernel_eps(op.norm()) if near_zero else 0.0)
+        gaps = np.minimum.reduceat(
+            [np.where(neg, np.inf, w), np.where(neg, -w, np.inf)], self.starts, axis=1
+        )
+        sizes = np.add.reduceat(neg, self.starts)
+        self[t] = (float(np.min(np.abs(w))), np.vstack([gaps, sizes]))
+        return self[t]
 
 
 @dataclass(frozen=True)
@@ -53,13 +78,18 @@ class PathCertificate:
 
     ``min_gap`` is the smallest quotient spectral gap seen at any sample and
     ``lipschitz`` the largest quotient difference quotient over the keyframe
-    segments.  A vacuous certificate means the quotient is zero.
+    segments.  A vacuous certificate means the quotient is zero.  ``segments``
+    are the accepted segments ``(a, b, move)`` in order, ``move`` the norm of
+    the change per non-ideal block; ``spectra`` memoizes the quotient spectrum
+    at the samples and at the times ``find_partition`` bisects at.
     """
 
     vacuous: bool
     min_gap: float
     lipschitz: float
     samples: tuple[float, ...]
+    segments: tuple = field(default=(), repr=False, compare=False)
+    spectra: Mapping = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -83,16 +113,6 @@ class FlowResult:
     certificate: PathCertificate
 
 
-def _quotient_gap(op: BlockOperator, alg: VnAlgebra) -> float:
-    """Distance of the quotient spectrum to zero (inf when the quotient is zero)."""
-    gap = math.inf
-    for i in alg.nonideal_indices:
-        w = _eigvalsh(op.blocks[i])
-        if w.size:
-            gap = min(gap, float(np.min(np.abs(w))))
-    return gap
-
-
 def certify_path(
     path: OperatorPath, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL
 ) -> PathCertificate:
@@ -112,130 +132,110 @@ def certify_path(
             vacuous=True, min_gap=math.inf, lipschitz=0.0, samples=path.times
         )
 
-    samples: dict[float, float] = {}
+    spectra = _Spectra(path, alg, tol)
+    segments: list[tuple[float, float, np.ndarray]] = []
 
     def gap_at(t: float) -> float:
-        if t not in samples:
-            g = _quotient_gap(path.at(t), alg)
-            if g <= tol.gap:
-                raise PathError(
-                    f"path leaves the selfadjoint Fredholm operators at t = {t:.12g} "
-                    f"(quotient spectral gap {g:.3e} <= {tol.gap:.3e})"
-                )
-            samples[t] = g
-        return samples[t]
+        g = spectra[t][0]
+        if g <= tol.gap:
+            raise PathError(
+                f"path leaves the selfadjoint Fredholm operators at t = {t:.12g} "
+                f"(quotient spectral gap {g:.3e} <= {tol.gap:.3e})"
+            )
+        return g
 
-    def certify_segment(a: float, b: float, depth: int) -> None:
-        ga, gb = gap_at(a), gap_at(b)
-        delta = quotient_norm(path.at(b) - path.at(a), alg)
-        if (ga + gb - delta) / 2.0 > tol.gap:
+    def movement(a: float, b: float) -> np.ndarray:
+        pa, pb = path.at(a).blocks, path.at(b).blocks
+        return np.array([_spectral_norm(pb[i] - pa[i]) for i in alg.nonideal_indices])
+
+    def certify_segment(a: float, b: float, move: np.ndarray, depth: int) -> None:
+        if (gap_at(a) + gap_at(b) - move.max()) / 2.0 > tol.gap:
+            segments.append((a, b, move))
             return
         if depth >= _CERTIFY_MAX_DEPTH:
-            raise PathError(
-                f"cannot certify quotient invertibility on [{a:.12g}, {b:.12g}]"
-            )
+            raise PathError(f"cannot certify quotient invertibility on [{a:.12g}, {b:.12g}]")
         mid = 0.5 * (a + b)
         gap_at(mid)
-        certify_segment(a, mid, depth + 1)
-        certify_segment(mid, b, depth + 1)
+        certify_segment(a, mid, movement(a, mid), depth + 1)
+        certify_segment(mid, b, movement(mid, b), depth + 1)
 
     lipschitz = 0.0
     times = path.times
     for t0, t1 in zip(times, times[1:]):
-        delta = quotient_norm(path.at(t1) - path.at(t0), alg)
-        lipschitz = max(lipschitz, delta / (t1 - t0))
-        certify_segment(t0, t1, 0)
+        move = movement(t0, t1)
+        lipschitz = max(lipschitz, float(move.max()) / (t1 - t0))
+        certify_segment(t0, t1, move, 0)
 
+    min_gap = min(gap for gap, _ in spectra.values())
     return PathCertificate(
-        vacuous=False,
-        min_gap=min(samples.values()),
-        lipschitz=lipschitz,
-        samples=tuple(sorted(samples)),
+        False, min_gap, lipschitz, tuple(sorted(spectra)), tuple(segments), spectra
     )
 
 
 def find_partition(
-    path: OperatorPath, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL
+    path: OperatorPath,
+    alg: VnAlgebra,
+    tol: Tolerances = DEFAULT_TOL,
+    certificate: PathCertificate | None = None,
 ) -> list[float]:
-    """Partition of [0, 1] keeping quotient spectral projections within 1/2.
+    """Partition of [0, 1] on whose intervals the quotient spectral
+    projections stay within 1/2 minus the safety margin of each other.
 
-    Assumes the path has been certified.  A subinterval is accepted when all
-    pairwise quotient projection distances over its dyadic interior grid stay
-    below 1/2 minus the safety margin; otherwise it is bisected, up to the
-    configured depth.
+    Built from the path's certificate (certified here when none is given).
+    Consecutive segments merge while, on every non-ideal block, their summed
+    movement M stays below ``(1/2 - margin) (f+ + f-)``, f+ and f- being the
+    smallest Weyl floors ``(g_a + g_b - move) / 2`` of the two one-sided gaps
+    over the run.  The Davis-Kahan sin theta theorem then gives ``||chi(A) -
+    chi(B)|| <= M / (f+ + f-)`` for any two points of the run.  A segment that
+    fails alone is bisected, down to length ``2**-max_depth``.
     """
-    if alg.all_ideal:
+    if certificate is None:
+        certificate = certify_path(path, alg, tol)
+    if certificate.vacuous:
         return [0.0, 1.0]
-
-    chi_cache: dict[float, BlockOperator] = {}
-
-    def chi_at(t: float) -> BlockOperator:
-        if t not in chi_cache:
-            chi_cache[t] = chi(path.at(t), tol)
-        return chi_cache[t]
-
     bound = 0.5 - tol.margin
-    n_grid = 2 ** _PARTITION_GRID_DEPTH
-
-    def accepted(a: float, b: float) -> bool:
-        pts = [a + (b - a) * k / n_grid for k in range(n_grid + 1)]
-        projs = [chi_at(t) for t in pts]
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if quotient_norm(projs[i] - projs[j], alg) >= bound:
-                    return False
-        return True
-
-    cuts: list[float] = [0.0, 1.0]
-
-    def split(a: float, b: float, depth: int) -> None:
-        if accepted(a, b):
-            return
-        if depth >= tol.max_depth:
+    spectra = certificate.spectra
+    cuts, moved, low = [0.0], 0.0, np.inf
+    pending = list(reversed(certificate.segments))
+    while pending:
+        a, b, move = pending.pop()
+        sa, sb = spectra[a][1], spectra[b][1]
+        # the floors bound the same eigenvalues only when both ends split alike
+        floors = np.where(sa[2] == sb[2], (sa[:2] + sb[:2] - move) / 2.0, -np.inf)
+        if np.all(move < bound * floors.sum(axis=0)):
+            moved, low = moved + move, np.minimum(low, floors)
+            if not np.all(moved < bound * low.sum(axis=0)):
+                cuts.append(a)
+                moved, low = move, floors
+        elif b - a > math.ldexp(1.0, -tol.max_depth):
+            mid = 0.5 * (a + b)
+            pending += [(mid, b, move / 2.0), (a, mid, move / 2.0)]
+        else:
             raise PartitionError(
                 f"cannot certify partition on [{a:.12g}, {b:.12g}] "
                 f"within depth {tol.max_depth}"
             )
-        mid = 0.5 * (a + b)
-        cuts.append(mid)
-        split(a, mid, depth + 1)
-        split(mid, b, depth + 1)
-
-    split(0.0, 1.0, 0)
-    return sorted(cuts)
+    return cuts + [1.0]
 
 
 def _flow_over_partition(
-    path: OperatorPath,
-    alg: VnAlgebra,
-    partition: list[float],
-    tol: Tolerances,
-) -> tuple[K0Class, list[FlowStep], K0Class]:
-    """Evaluate the defining sum and the closed form over a given partition."""
+    path: OperatorPath, alg: VnAlgebra, partition: list[float], tol: Tolerances
+) -> tuple[K0Class, list[K0Class], K0Class]:
+    """The defining sum, its per-step terms and the closed form over a partition."""
     one = alg.identity()
     projections = [chi(path.at(t), tol) for t in partition]
-    total = K0Class.zero(alg.n_ideal)
-    steps: list[FlowStep] = []
-    for i in range(1, len(projections)):
-        prev, cur = projections[i - 1], projections[i]
+    contributions = []
+    for prev, cur in zip(projections, projections[1:]):
         leaving = proj_intersection(one - cur, prev, tol)
         entering = proj_intersection(one - prev, cur, tol)
-        contribution = k0_of_difference(leaving, entering, alg, tol)
-        steps.append(
-            FlowStep(
-                t_start=partition[i - 1],
-                t_end=partition[i],
-                gap_end=_quotient_gap(path.at(partition[i]), alg),
-                contribution=contribution,
-            )
-        )
-        total = total + contribution
+        contributions.append(k0_of_difference(leaving, entering, alg, tol))
+    total = sum(contributions, K0Class.zero(alg.n_ideal))
 
     product = reduce(lambda acc, p: p @ acc, projections[1:], projections[0])
     ker = proj_intersection(null_projection(product, tol), projections[0], tol)
     coker = proj_intersection(null_projection(product.H, tol), projections[-1], tol)
     closed = k0_of_difference(ker, coker, alg, tol)
-    return total, steps, closed
+    return total, contributions, closed
 
 
 def spectral_flow_result(
@@ -247,19 +247,18 @@ def spectral_flow_result(
     partition are both computed; disagreement is an internal error.
     """
     certificate = certify_path(path, alg, tol)
-    partition = find_partition(path, alg, tol)
-    total, steps, closed = _flow_over_partition(path, alg, partition, tol)
+    partition = find_partition(path, alg, tol, certificate)
+    total, contributions, closed = _flow_over_partition(path, alg, partition, tol)
     if total != closed:
         raise ConsistencyError(
             f"partition sum {total.ranks} disagrees with the closed form {closed.ranks}"
         )
-    return FlowResult(
-        k0=total,
-        partition=tuple(partition),
-        steps=tuple(steps),
-        closed_form=closed,
-        certificate=certificate,
+    spectra = certificate.spectra
+    steps = tuple(
+        FlowStep(a, b, spectra[b][0] if spectra else math.inf, c)
+        for a, b, c in zip(partition, partition[1:], contributions)
     )
+    return FlowResult(total, tuple(partition), steps, closed, certificate)
 
 
 def spectral_flow(

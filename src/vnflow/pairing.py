@@ -26,7 +26,7 @@ from .model import (
     _max_norm,
     quotient_norm,
 )
-from .corner import boundary_map, boundary_map_result
+from .corner import _connecting_class, boundary_map
 from .projections import nearest_projection
 
 __all__ = [
@@ -188,6 +188,13 @@ def intermediate_operator(
     W = -i psi(cos(pi q)) + psi(sin(pi q)) (2p - 1).  Its quotient image must
     be unitary; the residuals are checked against ten times the gap tolerance.
     """
+    return _checked_intermediate(data, tol)[0]
+
+
+def _checked_intermediate(
+    data: PairingData, tol: Tolerances
+) -> tuple[BlockOperator, float, float]:
+    """The intermediate operator with its two checked unitarity residuals."""
     alg = data.alg
     one = alg.identity()
     cos_pq = data.q.apply(lambda w: np.cos(np.pi * w))
@@ -200,7 +207,7 @@ def intermediate_operator(
             f"intermediate operator is not quotient unitary: residuals "
             f"({res_left:.3e}, {res_right:.3e})"
         )
-    return w_op
+    return w_op, res_left, res_right
 
 
 def pairing_result(
@@ -221,18 +228,18 @@ def pairing_result(
         p = nearest_projection(p, tol)
     lift = p @ data.psi(data.u) @ p + (one - p)
     via_lift = boundary_map(lift, alg, tol, eps_gap=10.0 * tol.gap)
-    w_op = intermediate_operator(data, tol)
-    via_intermediate = boundary_map_result(w_op, alg, tol, eps_gap=10.0 * tol.gap)
-    if via_lift != via_intermediate.k0:
+    # W's quotient unitarity is checked once, with the bound boundary_map uses
+    w_op, left, right = _checked_intermediate(data, tol)
+    via_intermediate = _connecting_class(w_op, alg, tol)
+    if via_lift != via_intermediate:
         raise ConsistencyError(
             "pairing routes disagree "
-            f"({via_lift.ranks} vs {via_intermediate.k0.ranks}); "
+            f"({via_lift.ranks} vs {via_intermediate.ranks}); "
             "check that [p, psi(u)] is ideal-supported"
         )
-    unitarity = via_intermediate.residuals
     residuals = {
-        "intermediate_unitarity_left": unitarity["quotient_unitarity_left"],
-        "intermediate_unitarity_right": unitarity["quotient_unitarity_right"],
+        "intermediate_unitarity_left": left,
+        "intermediate_unitarity_right": right,
         "commutator_quotient": data.commutator,
     }
     return CheckedClass(via_lift, residuals)

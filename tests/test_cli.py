@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnflow.cli import (
     canonical_json,
@@ -250,10 +254,14 @@ def test_overflowing_and_nonfinite_entries_exit_2(tmp_path, capsys):
 
 
 def test_mistyped_numbers_exit_2(tmp_path):
+    # each document gets its own file: they are all written before any runs
     def doc_with(edit):
         doc = _calibration_doc()
         edit(doc)
-        return _write(tmp_path, "bad.json", doc)
+        return write_doc(doc)
+
+    def write_doc(doc):
+        return _write(tmp_path, f"bad-{len(list(tmp_path.iterdir()))}.json", doc)
 
     bad_docs = [
         doc_with(lambda d: d["algebra"]["blocks"][0].update(dim="abc")),
@@ -261,8 +269,8 @@ def test_mistyped_numbers_exit_2(tmp_path):
         doc_with(lambda d: d.update(seed="x")),
         doc_with(lambda d: d["operators"]["B0"][0][0].__setitem__(0, ["one", 0.0])),
         doc_with(lambda d: d.update(tolerances={"kernel": "small"})),
-        _write(tmp_path, "gen.json", {"task": "generate", "model": "dirac", "m": "x"}),
-        _write(tmp_path, "gen.json", {"task": "generate", "model": "crossing", "seed": [1]}),
+        write_doc({"task": "generate", "model": "dirac", "m": "x"}),
+        write_doc({"task": "generate", "model": "crossing", "seed": [1]}),
         # booleans and integers are decoded strictly, not cast
         doc_with(lambda d: d["algebra"]["blocks"][0].update(ideal="false")),
         doc_with(lambda d: d["algebra"]["blocks"][0].update(ideal=0)),
@@ -274,12 +282,15 @@ def test_mistyped_numbers_exit_2(tmp_path):
         doc_with(lambda d: d.update(seed=True)),
         doc_with(lambda d: d.update(tolerances={"max_depth": 2.5})),
         doc_with(lambda d: d.update(tolerances={"max_depth": True})),
-        _write(tmp_path, "gen.json", {"task": "generate", "model": "dirac", "m": 2.5}),
-        _write(tmp_path, "gen.json", {"task": "generate", "model": "dirac", "k": True}),
-        _write(tmp_path, "gen.json", {"task": "generate", "model": "crossing", "n": "2"}),
-        _write(
-            tmp_path, "gen.json", {"task": "generate", "model": "crossing", "crossings": [1.5]}
-        ),
+        write_doc({"task": "generate", "model": "dirac", "m": 2.5}),
+        write_doc({"task": "generate", "model": "dirac", "k": True}),
+        write_doc({"task": "generate", "model": "crossing", "n": "2"}),
+        write_doc({"task": "generate", "model": "crossing", "crossings": [1.5]}),
+        # containers of the wrong type, and entries that float() would cast
+        doc_with(lambda d: d.update(algebra={"blocks": 5})),
+        doc_with(lambda d: d.update(path={"keyframes": 5})),
+        doc_with(lambda d: d["operators"]["B0"][0][0].__setitem__(0, [True, False])),
+        doc_with(lambda d: d["operators"]["B0"][0][0].__setitem__(0, ["1.0", 0.0])),
     ]
     for path in bad_docs:
         assert main(["run", path]) == 2
@@ -347,3 +358,68 @@ def test_out_of_range_tolerances_exit_2(tmp_path):
         doc["tolerances"] = tolerances
         assert main(["run", _write(tmp_path, "bad.json", doc)]) == 2
     assert main(["run", _write(tmp_path, "ok.json", _calibration_doc()), "--tol-gap", "-1"]) == 2
+
+
+# -- schema fuzzing -------------------------------------------------------------------
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([1e308, -1e308, 10**400])
+    | st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _field_paths(obj, prefix=()):
+    """The key/index path of every field of a JSON document, at any depth."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _mixed_doc():
+    alg = weighted_model([1, 2], [1.0, 1.0], [True, False])
+    b0 = BlockOperator([np.diag([1.0]), np.diag([1.0, -1.0])])
+    b1 = BlockOperator([np.diag([-1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    doc = _calibration_doc()
+    doc.update(
+        algebra=encode_algebra(alg),
+        operators={"B0": encode_operator(b0), "B1": encode_operator(b1)},
+        tolerances={"gap": 1e-8, "margin": 0.05, "max_depth": 20},
+    )
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([_calibration_doc, _mixed_doc]), st.data(), _json_values)
+def test_schema_fuzz_exits_with_a_documented_code(make_doc, data, value):
+    doc = make_doc()
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        task = os.path.join(tmp, "task.json")
+        with open(task, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["run", task, "--out", os.path.join(tmp, "report.json")]) in (0, 2, 3, 4)
+
+
+def test_huge_max_depth_is_accepted(tmp_path):
+    # max_depth has no upper bound; the shortest cut 2**-max_depth must not
+    # overflow when max_depth exceeds the float range
+    doc = _mixed_doc()
+    doc["tolerances"]["max_depth"] = 10**400
+    out = tmp_path / "report.json"
+    assert main(["run", _write(tmp_path, "deep.json", doc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k0_class"] == [1]

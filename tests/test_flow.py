@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnflow import (
     DEFAULT_TOL,
@@ -11,12 +13,14 @@ from vnflow import (
     OperatorPath,
     PathError,
     certify_path,
+    chi,
     crossing_oracle,
     find_partition,
     numeric_spectral_flow,
     spectral_flow,
     spectral_flow_result,
     tau_star,
+    weighted_model,
 )
 from vnflow.flow import _flow_over_partition
 
@@ -143,6 +147,52 @@ def test_partition_refines_under_quotient_rotation():
     refined = sorted(set(parts) | set(mids))
     flow2, _, _ = _flow_over_partition(path, alg, refined, DEFAULT_TOL)
     assert flow == flow2
+
+
+def _chi_spread(path, alg, a, b, n):
+    """Largest quotient distance between chi at any two of n equally spaced
+    points of [a, b]."""
+    projections = [chi(path.at(t)) for t in np.linspace(a, b, n)]
+    spread = 0.0
+    for i in alg.nonideal_indices:
+        stack = np.array([p.blocks[i] for p in projections])
+        diffs = stack[:, None] - stack[None, :]
+        spread = max(spread, float(np.max(np.linalg.norm(diffs, 2, axis=(-2, -1)))))
+    return spread
+
+
+def _rotated(k: int) -> np.ndarray:
+    c, s = np.cos(k * np.pi / 8.0), np.sin(k * np.pi / 8.0)
+    r = np.array([[c, -s], [s, c]])
+    return r @ np.diag([1.0, -1.0]) @ r.T
+
+
+def test_partition_is_proved_between_grid_points():
+    # the quotient projection turns by pi/2 and back within [0, 0.12], between
+    # the points of a 9-point dyadic grid on [0, 1], so sampling that grid sees
+    # a constant path; the certified partition has to cut inside the turn
+    alg = weighted_model([1, 2], [1.0, 1.0], [True, False])
+    ks = (0, 1, 2, 3, 4, 3, 2, 1, 0)
+    frames = [(0.015 * j, op(np.eye(1), _rotated(k))) for j, k in enumerate(ks)]
+    path = OperatorPath(frames + [(1.0, op(np.eye(1), _rotated(0)))])
+    parts = find_partition(path, alg)
+    bound = 0.5 - DEFAULT_TOL.margin
+    for a, b in zip(parts, parts[1:]):
+        assert _chi_spread(path, alg, a, b, 41) < bound
+    assert spectral_flow(path, alg).is_zero
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_flow_properties_random(seed):
+    alg, path = random_certified_path(seed)
+    result = spectral_flow_result(path, alg)
+    assert result.k0.ranks == endpoint_rank_oracle(path, alg)
+    assert spectral_flow(path.reversed(), alg) == -result.k0
+    bound = 0.5 - DEFAULT_TOL.margin
+    parts = result.partition
+    for a, b in zip(parts, parts[1:]):
+        assert _chi_spread(path, alg, a, b, 33) < bound
 
 
 # -- the defining sum ---------------------------------------------------------------

@@ -176,3 +176,60 @@ def test_cli_guard_sees_the_calls():
         "w = intermediate_operator(data, tol)\n"
     )
     assert len(_check_calls(ast.parse(source))) == 3
+
+
+# -- the partition is proved from the certificate, not sampled --------------------
+
+_PROJECTION_CALLS = ("chi", "spectral_projection")
+
+
+def _reachable(tree: ast.Module, root: str) -> list[ast.AST]:
+    """The module-level function or class ``root`` and every module-level
+    function or class it names, transitively."""
+    defs = {
+        n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    seen: set[str] = set()
+    todo = [root]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    return [defs[name] for name in sorted(seen)]
+
+
+def _projection_calls(tree: ast.Module, root: str) -> list[str]:
+    found = []
+    for node in _reachable(tree, root):
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in _PROJECTION_CALLS:
+                    found.append(f"{node.name}, line {call.lineno}: {name}")
+    return found
+
+
+def test_partition_computes_no_spectral_projection():
+    """find_partition and its helpers work from gaps and movements only."""
+    tree = ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))
+    names = [n.name for n in _reachable(tree, "find_partition")]
+    assert "find_partition" in names and "_Spectra" in names
+    assert _projection_calls(tree, "find_partition") == []
+
+
+def test_partition_guard_sees_the_calls():
+    source = (
+        "def find_partition(path):\n"
+        "    return _helper(path, _Memo())\n"
+        "def _helper(path, memo):\n"
+        "    return chi(path.at(0.0))\n"
+        "class _Memo(dict):\n"
+        "    def __missing__(self, t):\n"
+        "        return self.op.spectral_projection(keep)\n"
+        "def _flow(path):\n"
+        "    return chi(path.at(1.0))\n"
+    )
+    assert len(_projection_calls(ast.parse(source), "find_partition")) == 2

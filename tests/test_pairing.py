@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,32 @@ def test_pairing_result_carries_the_checked_residuals():
     one = alg.identity()
     left = quotient_norm(w_op.H @ w_op - one, alg)
     assert result.residuals["intermediate_unitarity_left"] == left
+
+
+def test_pairing_result_checks_each_unitarity_residual_once(monkeypatch):
+    # two residuals for the lift p u p + (1 - p) and two for the intermediate
+    # operator W; W's are not recomputed by a second boundary-map check
+    import vnflow.corner
+    import vnflow.pairing
+
+    rng = np.random.default_rng(32)
+    alg = weighted_model([3, 2], [1.0, 1.0], [True, False])
+    p = BlockOperator([random_projection(3, 2, rng), np.diag([1.0, 0.0])])
+    u = BlockOperator([haar_unitary(3, rng), np.eye(2)])
+    data = make_pairing_data(alg, p, u)
+    calls = []
+
+    def counted(op, alg):
+        calls.append(op)
+        return quotient_norm(op, alg)
+
+    for module in (vnflow.corner, vnflow.pairing):
+        monkeypatch.setattr(module, "quotient_norm", counted)
+    result = pairing_result(data)
+    assert len(calls) == 4
+    assert result.k0.is_zero
+    # a direct caller still gets the check: a q that does not commute with p
+    # leaves W far from quotient unitary
+    q = BlockOperator([data.q.blocks[0], np.array([[0.3, 0.2], [0.2, 0.1]])])
+    with pytest.raises(PreconditionError):
+        intermediate_operator(replace(data, q=q))
