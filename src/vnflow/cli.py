@@ -62,10 +62,11 @@ TASKS = (
 
 _TRACK_SAMPLES = 201
 
-# Largest accepted modulus of a matrix entry.  A product of two n x n
-# matrices within this bound has entries of modulus at most n MAX_ENTRY^2 =
-# n * 1e300, far from the float64 limit 1.8e308 at any dimension a document
-# can hold, so b @ b and b.conj().T @ b cannot overflow.
+# Largest accepted modulus of a matrix entry, and largest block weight.  A
+# product of two n x n matrices within this bound has entries of modulus at
+# most n MAX_ENTRY^2 = n * 1e300, far from the float64 limit 1.8e308 at any
+# dimension a document can hold, so b @ b and b.conj().T @ b cannot overflow;
+# nor can a trace sum of weight * rank.
 MAX_ENTRY = 1e150
 
 # The JSON number types; bool, a subclass of int, is left out.
@@ -174,14 +175,11 @@ def decode_algebra(data: Any) -> VnAlgebra:
         _expect(isinstance(raw, dict) and "dim" in raw, f"block {i} needs a dim")
         ideal = raw.get("ideal", True)
         _expect(isinstance(ideal, bool), f"block {i} ideal must be true or false, got {ideal!r}")
+        dim = _integer(raw["dim"], f"block {i} dim")
+        weight = _real(raw.get("weight", 1.0), f"block {i} weight")
+        _expect(weight <= MAX_ENTRY, f"block {i} weight must be <= {MAX_ENTRY:g}, got {weight!r}")
         try:
-            blocks.append(
-                Block(
-                    dim=_integer(raw["dim"], f"block {i} dim"),
-                    weight=_real(raw.get("weight", 1.0), f"block {i} weight"),
-                    in_ideal=ideal,
-                )
-            )
+            blocks.append(Block(dim=dim, weight=weight, in_ideal=ideal))
         except ModelError as exc:
             raise SchemaError(f"block {i}: {exc}") from exc
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInIdealError, PreconditionError
+from .errors import PreconditionError
 from .model import (
     DEFAULT_TOL,
     BlockOperator,
@@ -24,7 +24,8 @@ from .model import (
     Tolerances,
     VnAlgebra,
     _max_norm,
-    _spectral_norm,
+    check_residual,
+    check_support,
     k0_of_difference,
     quotient_norm,
 )
@@ -79,18 +80,6 @@ def _corner_gap(
     return float(np.linalg.svd(corner, compute_uv=False)[-1])
 
 
-def _require_in_corner(
-    s: BlockOperator, p: BlockOperator, q: BlockOperator, tol: Tolerances
-) -> None:
-    compressed = q @ s @ p
-    defect = _max_norm(a - b for a, b in zip(s.blocks, compressed.blocks))
-    eps = tol.proj_eps(s.norm())
-    if defect > eps:
-        raise PreconditionError(
-            f"operator does not live in the corner: ||S - qSp|| = {defect:.3e} > {eps:.3e}"
-        )
-
-
 def is_corner_fredholm(
     s: BlockOperator,
     p: BlockOperator,
@@ -105,38 +94,19 @@ def is_corner_fredholm(
     tolerance.  Vacuously true (infinite gap) when everything is ideal.
     """
     alg.require_conformal(s)
-    _require_in_corner(s, p, q, tol)
-    p_bases = range_basis(p)
-    q_bases = range_basis(q)
-    reports = []
-    fredholm = True
-    min_gap = math.inf
-    for i in alg.nonideal_indices:
-        gap = _corner_gap(s.blocks[i], p_bases[i], q_bases[i])
-        rep = CornerBlockReport(
-            block=i,
-            domain_rank=p_bases[i].shape[1],
-            codomain_rank=q_bases[i].shape[1],
-            smallest_singular_value=gap,
+    defect = _max_norm(a - b for a, b in zip(s.blocks, (q @ s @ p).blocks))
+    check_residual("corner operator S must equal qSp", defect, tol.proj_eps(s.norm()))
+    p_bases, q_bases = range_basis(p), range_basis(q)
+    reports = tuple(
+        CornerBlockReport(
+            i, p_bases[i].shape[1], q_bases[i].shape[1],
+            _corner_gap(s.blocks[i], p_bases[i], q_bases[i]),
         )
-        reports.append(rep)
-        if not rep.invertible or gap <= tol.gap:
-            fredholm = False
-        min_gap = min(min_gap, gap)
-    return FredholmReport(fredholm=fredholm, min_gap=min_gap, blocks=tuple(reports))
-
-
-def _require_ideal_support(
-    op: BlockOperator, alg: VnAlgebra, tol: Tolerances, what: str
-) -> None:
-    eps = tol.proj_eps(op.norm())
-    for i in alg.nonideal_indices:
-        n = _spectral_norm(op.blocks[i])
-        if n > eps:
-            raise NotInIdealError(
-                f"class not in the ideal K-group: {what} has norm {n:.3e} "
-                f"on non-ideal block {i}"
-            )
+        for i in alg.nonideal_indices
+    )
+    fredholm = all(r.invertible and r.smallest_singular_value > tol.gap for r in reports)
+    min_gap = min((r.smallest_singular_value for r in reports), default=math.inf)
+    return FredholmReport(fredholm, min_gap, reports)
 
 
 def corner_index_result(
@@ -159,8 +129,9 @@ def corner_index_result(
         )
     ker_dom = proj_intersection(null_projection(s, tol), p, tol)
     ker_cod = proj_intersection(null_projection(s.H, tol), q, tol)
-    _require_ideal_support(ker_dom, alg, tol, "kernel intersection")
-    _require_ideal_support(ker_cod, alg, tol, "cokernel intersection")
+    for what, ker in (("kernel", ker_dom), ("cokernel", ker_cod)):
+        eps = tol.proj_eps(ker.norm())
+        check_support(f"{what} intersection off the ideal", ker, alg.nonideal_indices, eps)
     return CheckedClass(k0_of_difference(ker_dom, ker_cod, alg, tol), {}), report
 
 
@@ -189,25 +160,33 @@ def boundary_map_result(
     (defaults to the gap tolerance); its two residuals are returned as
     ``quotient_unitarity_left`` and ``quotient_unitarity_right``.
     """
-    alg.require_conformal(s)
-    eps = tol.gap if eps_gap is None else eps_gap
+    return _boundary(s, alg, tol, tol.gap if eps_gap is None else eps_gap)[0]
+
+
+def _quotient_unitarity(s: BlockOperator, alg: VnAlgebra, bound: float, name: str):
+    """The checked quotient norms of S*S - 1 (left) and SS* - 1 (right)."""
     one = alg.identity()
-    left = quotient_norm(s.H @ s - one, alg)
-    right = quotient_norm(s @ s.H - one, alg)
-    if max(left, right) > eps:
-        raise PreconditionError(
-            f"quotient image is not unitary: residuals ({left:.3e}, {right:.3e}) "
-            f"exceed {eps:.3e}"
-        )
-    return CheckedClass(
-        _connecting_class(s, alg, tol),
-        {"quotient_unitarity_left": left, "quotient_unitarity_right": right},
+    what = f"quotient image of {name} must be unitary"
+    return (
+        check_residual(f"{what} (left)", quotient_norm(s.H @ s - one, alg), bound),
+        check_residual(f"{what} (right)", quotient_norm(s @ s.H - one, alg), bound),
     )
 
 
-def _connecting_class(s: BlockOperator, alg: VnAlgebra, tol: Tolerances) -> K0Class:
-    """[N(S)] - [N(S*)] for a lift whose quotient unitarity has been checked."""
-    return k0_of_difference(null_projection(s, tol), null_projection(s.H, tol), alg, tol)
+def _boundary(s: BlockOperator, alg: VnAlgebra, tol: Tolerances, bound: float):
+    """``boundary_map_result`` with the kernel projections of S and S*."""
+    alg.require_conformal(s)
+    left, right = _quotient_unitarity(s, alg, bound, "the lift")
+    k0, ker, coker = _connecting(s, alg, tol)
+    residuals = {"quotient_unitarity_left": left, "quotient_unitarity_right": right}
+    return CheckedClass(k0, residuals), ker, coker
+
+
+def _connecting(s: BlockOperator, alg: VnAlgebra, tol: Tolerances):
+    """([N(S)] - [N(S*)], N(S), N(S*)) for a lift whose quotient unitarity
+    has been checked."""
+    ker, coker = null_projection(s, tol), null_projection(s.H, tol)
+    return k0_of_difference(ker, coker, alg, tol), ker, coker
 
 
 def boundary_map(

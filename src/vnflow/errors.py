@@ -1,5 +1,8 @@
 """Exception hierarchy for the block-model operator toolkit."""
 
+from types import MappingProxyType
+from typing import Any, Mapping
+
 __all__ = [
     "VnFlowError",
     "ModelError",
@@ -15,7 +18,16 @@ __all__ = [
 
 
 class VnFlowError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Keyword arguments are the structured facts of the failure (a failed
+    residual check gives ``what``, ``value``, ``bound`` and, where known,
+    ``block`` or ``t``); ``fields`` exposes them read-only.
+    """
+
+    def __init__(self, *args: Any, **fields: Any) -> None:
+        super().__init__(*args)
+        self.fields: Mapping[str, Any] = MappingProxyType(fields)
 
 
 class ModelError(VnFlowError):

@@ -48,22 +48,21 @@ _CERTIFY_MAX_DEPTH = 48
 class _Spectra(dict):
     """Memo t -> (gap, sides) of the quotient spectrum along one path: the
     smallest eigenvalue modulus, and per non-ideal block (columns) the smallest
-    eigenvalue on chi's nonnegative side, the smallest modulus on its negative
-    side (inf for an empty side) and the size of the negative side (rows)."""
+    nonnegative eigenvalue, the smallest modulus of a negative one (inf for an
+    empty side) and the number of negative eigenvalues (rows).
 
-    def __init__(self, path: OperatorPath, alg: VnAlgebra, tol: Tolerances) -> None:
+    Splitting at 0 is chi's split wherever the path is certified: there every
+    quotient eigenvalue is farther from 0 than chi's zero threshold."""
+
+    def __init__(self, path: OperatorPath, alg: VnAlgebra) -> None:
         super().__init__()
-        self.path, self.alg, self.tol = path, alg, tol
+        self.path, self.alg = path, alg
         self.starts = np.cumsum([0] + [alg.dims[i] for i in alg.nonideal_indices][:-1])
-        # chi splits at -kernel_eps(norm), which lies in [-eps_max, 0] along
-        # the path: no norm exceeds the largest keyframe norm.
-        self.eps_max = tol.kernel_eps(max(op.norm() for _, op in path.keyframes))
 
     def __missing__(self, t: float) -> tuple[float, np.ndarray]:
         op = self.path.at(t)
         w = np.concatenate([_eigvalsh(op.blocks[i]) for i in self.alg.nonideal_indices])
-        near_zero = np.any((w < 0.0) & (w >= -self.eps_max))
-        neg = w < (-self.tol.kernel_eps(op.norm()) if near_zero else 0.0)
+        neg = w < 0.0
         gaps = np.minimum.reduceat(
             [np.where(neg, np.inf, w), np.where(neg, -w, np.inf)], self.starts, axis=1
         )
@@ -121,8 +120,10 @@ def certify_path(
     The keyframes must be selfadjoint.  Each linear segment is certified by
     bisection: a segment passes once the endpoint gaps dominate half the
     quotient movement across it, which bounds every interior eigenvalue away
-    from zero.  A sample whose quotient gap falls to the gap tolerance is a
-    hard failure.
+    from zero.  A sample whose quotient gap falls to the floor is a hard
+    failure.  The floor is the gap tolerance or, if larger, chi's zero
+    threshold at the largest keyframe norm, so that chi splits every
+    certified quotient spectrum at 0.
     """
     alg.require_conformal(path.keyframes[0][1])
     for t, op in path.keyframes:
@@ -132,15 +133,17 @@ def certify_path(
             vacuous=True, min_gap=math.inf, lipschitz=0.0, samples=path.times
         )
 
-    spectra = _Spectra(path, alg, tol)
+    spectra = _Spectra(path, alg)
     segments: list[tuple[float, float, np.ndarray]] = []
+    floor = max(tol.gap, tol.kernel_eps(max(op.norm() for _, op in path.keyframes)))
 
     def gap_at(t: float) -> float:
         g = spectra[t][0]
-        if g <= tol.gap:
+        if g <= floor:
             raise PathError(
                 f"path leaves the selfadjoint Fredholm operators at t = {t:.12g} "
-                f"(quotient spectral gap {g:.3e} <= {tol.gap:.3e})"
+                f"(quotient spectral gap {g:.3e} <= {floor:.3e})",
+                t=t, gap=g, bound=floor,
             )
         return g
 
@@ -149,7 +152,7 @@ def certify_path(
         return np.array([_spectral_norm(pb[i] - pa[i]) for i in alg.nonideal_indices])
 
     def certify_segment(a: float, b: float, move: np.ndarray, depth: int) -> None:
-        if (gap_at(a) + gap_at(b) - move.max()) / 2.0 > tol.gap:
+        if (gap_at(a) + gap_at(b) - move.max()) / 2.0 > floor:
             segments.append((a, b, move))
             return
         if depth >= _CERTIFY_MAX_DEPTH:

@@ -118,9 +118,38 @@ def _max_norm(mats: Iterable[np.ndarray]) -> float:
     return max((_spectral_norm(m) for m in mats), default=0.0)
 
 
-def _require(what: str, kind: str, defect: float, eps: float) -> None:
-    if not defect <= eps:
-        raise PreconditionError(f"{what} must be {kind}: defect {defect:.3e} > {eps:.3e}")
+# The package's one residual check: every "residual <= tolerance" condition
+# goes through it, so the comparison, the message and the error fields have
+# one form.
+_WHERE = {"block": "on block", "t": "at t ="}
+
+
+def check_residual(
+    what: str, value: float, bound: float, error=PreconditionError, **where
+) -> float:
+    """Raise ``error`` unless ``value <= bound`` (a NaN value fails), else return ``value``.
+
+    The message reads ``<what>: <value> > <bound>``, then ``on block <i>`` or
+    ``at t = <t>`` for a ``block`` or ``t`` in ``where``; the error's ``fields``
+    hold ``what``, ``value``, ``bound`` and ``where``.
+    """
+    if not value <= bound:
+        place = "".join(f" {_WHERE[key]} {v:g}" for key, v in where.items())
+        message = f"{what}: {value:.3e} > {bound:.3e}{place}"
+        raise error(message, what=what, value=value, bound=bound, **where)
+    return value
+
+
+def check_support(
+    what: str, op: "BlockOperator", blocks: Iterable[int], bound: float, error=NotInIdealError
+) -> float:
+    """Check that ``op`` vanishes on ``blocks``, reading only those: each block
+    norm is a residual.  Returns the largest (0 for no blocks)."""
+    worst = 0.0
+    for i in blocks:
+        norm = _spectral_norm(op.blocks[i])
+        worst = max(worst, check_residual(what, norm, bound, error, block=i))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -134,8 +163,8 @@ class Block:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ModelError(f"block dimension must be >= 1, got {self.dim}")
-        if not self.weight > 0.0:
-            raise ModelError(f"trace weight must be > 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0.0):
+            raise ModelError(f"trace weight must be finite and > 0, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -301,10 +330,14 @@ class BlockOperator:
     # -- preconditions: raise PreconditionError where ``is_*`` is false --------
 
     def require_selfadjoint(self, what: str, tol: Tolerances = DEFAULT_TOL) -> None:
-        _require(what, "selfadjoint", self.selfadjoint_defect(), tol.proj_eps(self.norm()))
+        check_residual(
+            f"{what} must be selfadjoint", self.selfadjoint_defect(), tol.proj_eps(self.norm())
+        )
 
     def require_projection(self, what: str, tol: Tolerances = DEFAULT_TOL) -> None:
-        _require(what, "a projection", self.projection_defect(), tol.proj_eps(self.norm()))
+        check_residual(
+            f"{what} must be a projection", self.projection_defect(), tol.proj_eps(self.norm())
+        )
 
     def require_unitary(
         self, what: str, tol: Tolerances = DEFAULT_TOL, eps: float | None = None
@@ -312,7 +345,7 @@ class BlockOperator:
         """``eps``, when given, is an absolute bound in place of ``tol``."""
         if eps is None:
             eps = tol.proj_eps(self.norm())
-        _require(what, "unitary", self.unitary_defect(), eps)
+        check_residual(f"{what} must be unitary", self.unitary_defect(), eps)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -537,14 +570,12 @@ def k0_of_difference(
     alg.require_conformal(q)
     p.require_projection("first argument", tol)
     q.require_projection("second argument", tol)
-    eps = tol.proj_eps(max(p.norm(), q.norm()))
-    for i in alg.nonideal_indices:
-        defect = _spectral_norm(p.blocks[i] - q.blocks[i])
-        if defect > eps:
-            raise NotInIdealError(
-                f"class not in the ideal K-group: non-ideal block {i} "
-                f"carries a difference of norm {defect:.3e}"
-            )
+    check_support(
+        "p - q must vanish off the ideal",
+        p - q,
+        alg.nonideal_indices,
+        tol.proj_eps(max(p.norm(), q.norm())),
+    )
     rp = block_ranks(p)
     rq = block_ranks(q)
     return K0Class(rp[i] - rq[i] for i in alg.ideal_indices)

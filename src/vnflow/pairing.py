@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import ConsistencyError, ModelError, NumericsError, PreconditionError
+from .errors import ConsistencyError, ModelError, NumericsError
 from .model import (
     DEFAULT_TOL,
     BlockOperator,
@@ -24,9 +24,10 @@ from .model import (
     Tolerances,
     VnAlgebra,
     _max_norm,
+    check_residual,
     quotient_norm,
 )
-from .corner import _connecting_class, boundary_map
+from .corner import _connecting, _quotient_unitarity, boundary_map
 from .projections import nearest_projection
 
 __all__ = [
@@ -58,12 +59,7 @@ def unitary_log(u: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperato
         vals = angles / (2.0 * np.pi)
         logs.append((z * vals) @ z.conj().T)
     q = BlockOperator(logs)
-
-    defect = _exp_defect(q, u)
-    if defect > _LOG_TOL:
-        raise NumericsError(
-            f"logarithm reconstruction error {defect:.3e} exceeds {_LOG_TOL:g}"
-        )
+    check_residual("logarithm reconstruction error", _exp_defect(q, u), _LOG_TOL, NumericsError)
     return q
 
 
@@ -87,12 +83,7 @@ def cos_identity_check(
     """
     eps = tol.gap if eps_gap is None else eps_gap
     q.require_selfadjoint("cos identity argument", tol)
-    defect = quotient_norm(q @ q - q, alg)
-    if defect > eps:
-        raise PreconditionError(
-            f"argument is not idempotent modulo the ideal: "
-            f"quotient defect {defect:.3e} > {eps:.3e}"
-        )
+    check_residual("q must be idempotent modulo the ideal", quotient_norm(q @ q - q, alg), eps)
     one = alg.identity()
     cos_pq = q.apply(lambda w: np.cos(np.pi * w))
     return quotient_norm(cos_pq + 2.0 * q - one, alg)
@@ -134,10 +125,7 @@ def make_pairing_data(
     alg.require_conformal(u)
     u.require_unitary("pairing unitary", tol)
     idempotency = quotient_norm(p @ p - p, alg)
-    if idempotency > tol.gap:
-        raise PreconditionError(
-            f"p must be a projection modulo the ideal (quotient defect {idempotency:.3e})"
-        )
+    check_residual("p must be a projection modulo the ideal", idempotency, tol.gap)
     p.require_selfadjoint("p", tol)
 
     if q is None:
@@ -145,13 +133,8 @@ def make_pairing_data(
     else:
         alg.require_conformal(q)
         q.require_selfadjoint("q", tol)
-        if q.norm() > 1.0 + _LOG_TOL:
-            raise PreconditionError(f"q must have norm <= 1, got {q.norm():.6g}")
-        defect = _exp_defect(q, u)
-        if defect > _LOG_TOL:
-            raise PreconditionError(
-                f"u differs from exp(2 pi i q) by {defect:.3e} > {_LOG_TOL:g}"
-            )
+        check_residual("q must have norm at most 1", q.norm(), 1.0 + _LOG_TOL)
+        check_residual("u must equal exp(2 pi i q)", _exp_defect(q, u), _LOG_TOL)
 
     if psi is None:
         psi_map: Callable[[BlockOperator], BlockOperator] = lambda op: op
@@ -173,10 +156,7 @@ def make_pairing_data(
                     )
 
     commutator = quotient_norm(p @ psi_map(u) - psi_map(u) @ p, alg)
-    if commutator > tol.gap:
-        raise PreconditionError(
-            f"[p, psi(u)] is not ideal-supported: quotient norm {commutator:.3e}"
-        )
+    check_residual("[p, psi(u)] must be ideal-supported", commutator, tol.gap)
     return PairingData(alg=alg, p=p, u=u, q=q, psi=psi_map, commutator=commutator)
 
 
@@ -200,14 +180,8 @@ def _checked_intermediate(
     cos_pq = data.q.apply(lambda w: np.cos(np.pi * w))
     sin_pq = data.q.apply(lambda w: np.sin(np.pi * w))
     w_op = (-1j) * data.psi(cos_pq) + data.psi(sin_pq) @ (2.0 * data.p - one)
-    res_left = quotient_norm(w_op.H @ w_op - one, alg)
-    res_right = quotient_norm(w_op @ w_op.H - one, alg)
-    if max(res_left, res_right) > 10.0 * tol.gap:
-        raise PreconditionError(
-            f"intermediate operator is not quotient unitary: residuals "
-            f"({res_left:.3e}, {res_right:.3e})"
-        )
-    return w_op, res_left, res_right
+    left, right = _quotient_unitarity(w_op, alg, 10.0 * tol.gap, "the intermediate operator")
+    return w_op, left, right
 
 
 def pairing_result(
@@ -230,7 +204,7 @@ def pairing_result(
     via_lift = boundary_map(lift, alg, tol, eps_gap=10.0 * tol.gap)
     # W's quotient unitarity is checked once, with the bound boundary_map uses
     w_op, left, right = _checked_intermediate(data, tol)
-    via_intermediate = _connecting_class(w_op, alg, tol)
+    via_intermediate = _connecting(w_op, alg, tol)[0]
     if via_lift != via_intermediate:
         raise ConsistencyError(
             "pairing routes disagree "

@@ -35,11 +35,13 @@ from .model import (
     _max_norm,
     _spectral_norm,
     block_ranks,
+    check_residual,
+    check_support,
     k0_of_difference,
     quotient_norm,
 )
-from .projections import chi, null_projection, proj_intersection
-from .corner import boundary_map, corner_index
+from .projections import chi, proj_intersection
+from .corner import _boundary, boundary_map, corner_index
 
 __all__ = [
     "VnTriple",
@@ -132,13 +134,8 @@ def make_triple(
     for name, a in generators.items():
         alg.require_conformal(a)
         commutators[name] = (d @ a - a @ d).norm()
-        res = _resolvent_residual(a, d, alg)
-        residuals[name] = res
-        if res > tol.proj_eps(a.norm()):
-            raise PreconditionError(
-                f"generator {name!r} violates the ideal resolvent condition: "
-                f"non-ideal support {res:.3e}"
-            )
+        res, eps = _resolvent_residual(a, d, alg), tol.proj_eps(a.norm())
+        residuals[name] = check_residual(f"a (i - D)^(-1) off the ideal, a = {name!r}", res, eps)
 
     f = bounded_transform(d, tol)
     return VnTriple(
@@ -163,12 +160,8 @@ class KasparovReport:
     passed: bool
 
     def worst(self) -> float:
-        values = (
-            list(self.commutator.values())
-            + list(self.square_defect.values())
-            + list(self.adjoint_defect.values())
-        )
-        return max(values) if values else 0.0
+        residuals = (self.commutator, self.square_defect, self.adjoint_defect)
+        return max((v for r in residuals for v in r.values()), default=0.0)
 
 
 def check_kasparov_module(
@@ -292,11 +285,8 @@ def resolvent_integral_check(
 
     residual = _max_norm(t - dbk for t, dbk in zip(total, direct_blocks))
     direct_norm = _max_norm(direct_blocks)
-    if residual > max(1000.0 * _INTEGRAL_TARGET, 1e-6 * direct_norm):
-        raise NumericsError(
-            f"resolvent integral did not converge: residual {residual:.3e} "
-            f"(truncation bound {truncation:.3e})"
-        )
+    bound = max(1000.0 * _INTEGRAL_TARGET, 1e-6 * direct_norm)
+    check_residual("resolvent integral residual", residual, bound, NumericsError)
     return IntegralCheck(
         residual=residual,
         direct_norm=direct_norm,
@@ -325,16 +315,21 @@ def sf_unitary_result(
     affine-shift version built from (F + 1)/2, and the corner index of p u p
     in the p-corner.
     """
-    u = _as_unitary(triple, u, tol)
+    return _sf_unitary(triple, _as_unitary(triple, u, tol), tol)[0]
+
+
+def _sf_unitary(
+    triple: VnTriple, u: BlockOperator, tol: Tolerances
+) -> tuple[CheckedClass, BlockOperator, BlockOperator]:
+    """``sf_unitary_result`` of a checked unitary, with the kernel and
+    cokernel projections of the lift p u p + (1 - p)."""
     alg = triple.alg
     p = triple.p
     commutator = quotient_norm(u @ p - p @ u, alg)
-    if commutator > tol.gap:
-        raise PreconditionError(
-            f"[u, p] is not ideal-supported: quotient norm {commutator:.3e}"
-        )
+    check_residual("[u, p] must be ideal-supported", commutator, tol.gap)
     one = alg.identity()
-    via_projection = boundary_map(p @ u @ p + (one - p), alg, tol, eps_gap=10 * tol.gap)
+    lifted, ker, coker = _boundary(p @ u @ p + (one - p), alg, tol, 10 * tol.gap)
+    via_projection = lifted.k0
     ph = triple.p_half
     via_affine = boundary_map(ph @ u @ ph + (one - ph), alg, tol, eps_gap=10 * tol.gap)
     via_corner = corner_index(p @ u @ p, p, p, alg, tol)
@@ -343,7 +338,7 @@ def sf_unitary_result(
             "boundary and corner routes disagree: "
             f"{via_projection.ranks} / {via_affine.ranks} / {via_corner.ranks}"
         )
-    return CheckedClass(via_projection, {"commutator_quotient": commutator})
+    return CheckedClass(via_projection, {"commutator_quotient": commutator}), ker, coker
 
 
 def sf_unitary(
@@ -369,32 +364,21 @@ def sf_unbounded_result(
         alg.require_conformal(op)
         op.require_selfadjoint(f"perturbation keyframe at t = {t:g}", tol)
 
-    f0 = bounded_transform(triple.D + a_path.at(0.0), tol)
-    worst = 0.0
+    grid = [0.0, 1.0]
     if not alg.all_ideal:
-        grid = sorted(
-            set(np.linspace(0.0, 1.0, _DRIFT_SAMPLES).tolist()) | set(a_path.times)
-        )
-        for t in grid:
-            ft = bounded_transform(triple.D + a_path.at(t), tol)
-            drift = quotient_norm(ft - f0, alg)
-            if drift > tol.gap:
-                raise ModelError(
-                    f"quotient image of the bounded transform drifts at t = {t:g}: "
-                    f"{drift:.3e} > {tol.gap:.3e}"
-                )
-            worst = max(worst, drift)
+        grid = sorted(set(np.linspace(0.0, 1.0, _DRIFT_SAMPLES).tolist()) | set(a_path.times))
+    what = "quotient image of the bounded transform must not drift"
+    worst = 0.0
+    for t in grid:  # ascending from 0, so f0 is set first and ft ends as f1
+        ft = bounded_transform(triple.D + a_path.at(t), tol)
+        f0 = ft if t == 0.0 else f0
+        drift = quotient_norm(ft - f0, alg)
+        worst = max(worst, check_residual(what, drift, tol.gap, ModelError, t=t))
 
-    p0 = chi(f0, tol)
-    p1 = chi(bounded_transform(triple.D + a_path.at(1.0), tol), tol)
+    p0, p1 = chi(f0, tol), chi(ft, tol)
     one = alg.identity()
-    k0 = k0_of_difference(
-        proj_intersection(one - p1, p0, tol),
-        proj_intersection(one - p0, p1, tol),
-        alg,
-        tol,
-    )
-    return CheckedClass(k0, {"quotient_drift": worst})
+    leaving, entering = proj_intersection(one - p1, p0, tol), proj_intersection(one - p0, p1, tol)
+    return CheckedClass(k0_of_difference(leaving, entering, alg, tol), {"quotient_drift": worst})
 
 
 def sf_unbounded(
@@ -422,57 +406,27 @@ def pushforward_sf(
     alg = triple.alg
     mask = tuple(bool(x) for x in sub_ideal_mask)
     if len(mask) != len(alg.blocks):
-        raise ModelError(
-            f"sub-ideal mask has {len(mask)} entries for {len(alg.blocks)} blocks"
-        )
+        raise ModelError(f"sub-ideal mask has {len(mask)} entries for {len(alg.blocks)} blocks")
     for i, selected in enumerate(mask):
         if selected and not alg.blocks[i].in_ideal:
             raise ModelError(f"sub-ideal mask selects non-ideal block {i}")
 
-    one = alg.identity()
     f = triple.F
-    resolvent = one - f @ f
-    commutators = {name: f @ a - a @ f for name, a in triple.generators.items()}
     outside = [i for i in range(len(alg.blocks)) if not mask[i]]
-    for i in outside:
-        support = _spectral_norm(resolvent.blocks[i])
-        if support > tol.gap:
-            raise PreconditionError(
-                f"sub-ideal too small: (1 + D^2)^(-1) has norm {support:.3e} "
-                f"on unselected block {i}"
-            )
-        for name, c in commutators.items():
-            support = _spectral_norm(c.blocks[i])
-            if support > tol.gap:
-                raise PreconditionError(
-                    f"sub-ideal too small: [F, {name}] has norm {support:.3e} "
-                    f"on unselected block {i}"
-                )
+    compact = {"(1 + D^2)^(-1)": alg.identity() - f @ f}
+    compact.update((f"[F, {name}]", f @ a - a @ f) for name, a in triple.generators.items())
+    for name, op in compact.items():
+        check_support(f"{name} off the sub-ideal", op, outside, tol.gap, PreconditionError)
 
-    flow = sf_unitary(triple, u, tol)
+    checked, ker, coker = _sf_unitary(triple, u, tol)
+    flow, eps = checked.k0, tol.proj_eps(1.0)
+    for name, op in (("kernel", ker), ("cokernel", coker)):
+        check_support(f"flow {name} off the sub-ideal", op, outside, eps, PreconditionError)
 
-    p = triple.p
-    lift = p @ u @ p + (one - p)
-    ker = null_projection(lift, tol)
-    coker = null_projection(lift.H, tol)
-    for i in outside:
-        for name, kp in (("kernel", ker), ("cokernel", coker)):
-            support = _spectral_norm(kp.blocks[i])
-            if support > tol.proj_eps(1.0):
-                raise PreconditionError(
-                    f"sub-ideal too small: flow {name} has norm {support:.3e} "
-                    f"on unselected block {i}"
-                )
-
-    rk = block_ranks(ker)
-    rc = block_ranks(coker)
-    sub_blocks = [i for i, selected in enumerate(mask) if selected]
-    sub_class = K0Class(rk[i] - rc[i] for i in sub_blocks)
-    padded = K0Class(
-        (rk[i] - rc[i]) if mask[i] else 0 for i in alg.ideal_indices
-    )
+    rk, rc = block_ranks(ker), block_ranks(coker)
+    # the mask was checked to select ideal blocks only
+    sub_class = K0Class(rk[i] - rc[i] for i in alg.ideal_indices if mask[i])
+    padded = K0Class((rk[i] - rc[i]) if mask[i] else 0 for i in alg.ideal_indices)
     if padded != flow:
-        raise ConsistencyError(
-            f"pushforward {padded.ranks} disagrees with the flow {flow.ranks}"
-        )
+        raise ConsistencyError(f"pushforward {padded.ranks} disagrees with the flow {flow.ranks}")
     return sub_class, padded

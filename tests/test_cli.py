@@ -253,6 +253,21 @@ def test_overflowing_and_nonfinite_entries_exit_2(tmp_path, capsys):
         assert "exceeds" in capsys.readouterr().err
 
 
+def test_overflowing_and_nonfinite_weights_exit_2(tmp_path, capsys):
+    # a weight near the float limit used to pass decoding and overflow tau,
+    # failing only while the report was serialized
+    doc = _calibration_doc()
+    doc["algebra"]["blocks"][0]["weight"] = 1.7e308
+    assert main(["run", _write(tmp_path, "huge.json", doc)]) == 2
+    assert "block 0 weight must be <= 1e+150" in capsys.readouterr().err
+    # json.dumps writes the JSON extension token Infinity, which json.load reads
+    doc["algebra"]["blocks"][0]["weight"] = float("inf")
+    path = _write(tmp_path, "inf.json", doc)
+    assert '"weight": Infinity' in open(path, encoding="utf-8").read()
+    assert main(["run", path]) == 2
+    assert "block 0 weight" in capsys.readouterr().err
+
+
 def test_mistyped_numbers_exit_2(tmp_path):
     # each document gets its own file: they are all written before any runs
     def doc_with(edit):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnflow import (
     BlockOperator,
@@ -157,6 +159,15 @@ def test_index_additivity_random():
         assert corner_index(t, q, r, alg) + corner_index(s, p, q, alg) == total
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_index_additivity_property(seed):
+    # ind(T S) = ind(S) + ind(T) for corner operators p -> q -> r
+    alg, p, q, r, s, t = _random_fredholm_pair(np.random.default_rng(seed))
+    total = corner_index(t @ s, p, r, alg)
+    assert total == corner_index(s, p, q, alg) + corner_index(t, q, r, alg)
+
+
 def test_index_matches_phase_index():
     rng = np.random.default_rng(101)
     for _ in range(25):
@@ -227,6 +238,17 @@ def test_boundary_requires_quotient_unitary():
     alg = single_block_alg(2, ideal=False)
     with pytest.raises(PreconditionError):
         boundary_map(op(np.diag([1.0, 0.5])), alg)
+
+
+def test_boundary_unitarity_error_carries_fields():
+    alg = single_block_alg(2, ideal=False)
+    with pytest.raises(PreconditionError) as err:
+        boundary_map(op(np.diag([1.0, 0.5])), alg)
+    fields = err.value.fields
+    assert fields["what"] == "quotient image of the lift must be unitary (left)"
+    assert fields["value"] == pytest.approx(0.75)
+    assert fields["bound"] == 1e-8
+    assert str(err.value).endswith(": 7.500e-01 > 1.000e-08")
 
 
 def test_boundary_of_diagonal_lift():

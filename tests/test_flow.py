@@ -64,6 +64,37 @@ def test_certify_detects_quotient_zero_crossing():
     assert "t = 0.5" in str(err.value)
 
 
+def test_certify_gap_error_carries_fields():
+    alg = single_block_alg(2, ideal=False)
+    path = OperatorPath.linear(op(np.diag([1.0, -0.5])), op(np.diag([1.0, 0.5])))
+    with pytest.raises(PathError) as err:
+        certify_path(path, alg)
+    assert err.value.fields == {"t": 0.5, "gap": 0.0, "bound": DEFAULT_TOL.gap}
+
+
+def _ideal_and_large_block(block0, block1, ideal0, ideal1) -> OperatorPath:
+    """A path on an ideal 1 x 1 block and a non-ideal diagonal 2 x 2 block."""
+    return OperatorPath.linear(
+        BlockOperator([np.array([[ideal0]]), np.diag(block0)]),
+        BlockOperator([np.array([[ideal1]]), np.diag(block1)]),
+    )
+
+
+def test_certify_floor_is_chi_zero_threshold_at_large_norm():
+    # at norm 1e3 chi counts eigenvalues down to -kernel * 1e3 = -1e-7 as zero,
+    # so a quotient gap of 5e-8 would split differently from chi
+    alg = weighted_model([1, 2], [1.0, 1.0], [True, False])
+    path = _ideal_and_large_block([1e3, -5e-8], [1e3, -1.0], 1.0, 1.0)
+    with pytest.raises(PathError) as err:
+        certify_path(path, alg)
+    assert err.value.fields["t"] == 0.0
+    assert err.value.fields["bound"] == pytest.approx(1e-7)
+    assert "5.000e-08 <= 1.000e-07" in str(err.value)
+    # a gap well above the floor at the same norm still certifies and flows
+    path = _ideal_and_large_block([1e3, -0.5], [1e3, -1.0], 1.0, -1.0)
+    assert spectral_flow(path, alg).ranks == (1,)
+
+
 def test_certify_rejects_non_selfadjoint_keyframes():
     alg = single_block_alg(2, ideal=False)
     bad = op(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -297,6 +328,24 @@ def test_flow_ideal_perturbation_invariance_random():
 
         other = OperatorPath.from_function(perturbed, path.times)
         assert spectral_flow(other, alg) == spectral_flow(path, alg)
+
+
+def _split(path: OperatorPath, k: int) -> tuple[OperatorPath, OperatorPath]:
+    """The path cut at its keyframe ``k``, each part rescaled to [0, 1]."""
+    cut = path.times[k]
+    first = [(t / cut, frame) for t, frame in path.keyframes[: k + 1]]
+    second = [((t - cut) / (1.0 - cut), frame) for t, frame in path.keyframes[k:]]
+    return OperatorPath(first), OperatorPath(second)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_flow_additivity_at_an_interior_keyframe(seed, k):
+    alg, path = random_certified_path(seed)
+    first, second = _split(path, k)
+    halves = spectral_flow(first, alg) + spectral_flow(second, alg)
+    assert spectral_flow(path, alg) == halves
+    assert spectral_flow(first.concatenated(second), alg) == halves
 
 
 def test_flow_concatenation_additivity():

@@ -147,6 +147,48 @@ def test_guard_sees_the_patterns():
     assert _violations(generators, defect_compares=False)
 
 
+# -- one residual check ----------------------------------------------------------
+
+_ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _threshold_raises(tree: ast.AST) -> list[str]:
+    """``raise`` statements under an ``if`` whose test is an ordering comparison."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and any(
+            isinstance(c, ast.Compare) and any(isinstance(o, _ORDERING) for o in c.ops)
+            for c in ast.walk(node.test)
+        ):
+            found += [
+                f"line {r.lineno}: raise"
+                for stmt in node.body + node.orelse
+                for r in ast.walk(stmt)
+                if isinstance(r, ast.Raise)
+            ]
+    return found
+
+
+@pytest.mark.parametrize("name", ["corner.py", "pairing.py", "triples.py"])
+def test_residual_checks_go_through_model(name):
+    """Residual-versus-tolerance checks use ``model.check_residual``, which
+    holds the one comparison and message format."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert _threshold_raises(tree) == []
+
+
+def test_residual_guard_sees_the_pattern():
+    source = (
+        "if defect > eps:\n    raise PreconditionError('x')\n"
+        "if not max(a, b) <= bound:\n    raise error(what)\n"
+        "if ok:\n    pass\nelif n >= 2:\n    raise ModelError('y')\n"
+        "if len(x) != n:\n    raise ModelError('a mismatch is not a residual')\n"
+    )
+    assert len(_threshold_raises(ast.parse(source))) == 3
+    model = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    assert _threshold_raises(model)
+
+
 # -- the CLI serializes, it does not recompute ------------------------------------
 
 _LIBRARY_CHECKS = ("quotient_norm", "is_corner_fredholm", "intermediate_operator")

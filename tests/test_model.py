@@ -7,6 +7,7 @@ import pytest
 
 from vnflow import (
     Block,
+    NumericsError,
     BlockOperator,
     K0Class,
     ModelError,
@@ -21,6 +22,7 @@ from vnflow import (
     tau_star,
     weighted_model,
 )
+from vnflow.model import check_residual, check_support
 
 from conftest import haar_unitary, op, random_matrix, random_projection, single_block_alg
 
@@ -35,6 +37,12 @@ def test_algebra_rejects_bad_blocks():
         Block(dim=2, weight=0.0)
     with pytest.raises(ModelError):
         VnAlgebra([])
+
+
+def test_block_rejects_nonfinite_weight():
+    for weight in (float("inf"), float("nan")):
+        with pytest.raises(ModelError, match="finite"):
+            Block(dim=1, weight=weight)
 
 
 def test_operator_rejects_non_square():
@@ -242,3 +250,40 @@ def test_tau_star_of_difference_matches_trace_difference():
 def test_tolerances_reject_out_of_range_fields(field, value):
     with pytest.raises(ModelError, match=field):
         Tolerances(**{field: value})
+
+
+# -- the residual check ------------------------------------------------------------
+
+
+def test_check_residual_returns_the_value_that_passed():
+    assert check_residual("defect", 0.25, 0.25) == 0.25
+    assert check_residual("defect", 0.0, 1e-8) == 0.0
+
+
+def test_check_residual_raises_with_fields():
+    with pytest.raises(PreconditionError) as err:
+        check_residual("defect of x", 2.0, 1.0)
+    assert str(err.value) == "defect of x: 2.000e+00 > 1.000e+00"
+    assert dict(err.value.fields) == {"what": "defect of x", "value": 2.0, "bound": 1.0}
+    with pytest.raises(TypeError):
+        err.value.fields["value"] = 0.0
+    with pytest.raises(NumericsError) as err:
+        check_residual("drift", 3.0, 1.0, NumericsError, t=0.25)
+    assert str(err.value) == "drift: 3.000e+00 > 1.000e+00 at t = 0.25"
+    assert err.value.fields["t"] == 0.25
+
+
+def test_check_residual_fails_on_nan():
+    with pytest.raises(PreconditionError):
+        check_residual("defect", float("nan"), 1.0)
+
+
+def test_check_support_reads_only_the_listed_blocks():
+    a = BlockOperator([np.eye(2), np.zeros((3, 3)), 2.0 * np.eye(1)])
+    assert check_support("a", a, [1], 1e-12) == 0.0
+    assert check_support("a", a, [], 1e-12) == 0.0
+    assert check_support("a", a, [0, 1], 1.0) == pytest.approx(1.0)
+    with pytest.raises(NotInIdealError) as err:
+        check_support("a off the ideal", a, [1, 2], 1.0)
+    assert str(err.value) == "a off the ideal: 2.000e+00 > 1.000e+00 on block 2"
+    assert err.value.fields["block"] == 2

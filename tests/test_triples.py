@@ -221,6 +221,19 @@ def test_sf_unitary_rejects_nonideal_commutator():
             sf_unitary(triple, u)
 
 
+def test_sf_unitary_commutator_error_carries_fields():
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    d = BlockOperator([np.diag([1.0, -1.0]), np.diag([1e9, -1e9])])
+    triple = make_triple(alg, {"1": alg.identity()}, d)
+    swap = BlockOperator([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    with pytest.raises(PreconditionError) as err:
+        sf_unitary(triple, swap)
+    fields = err.value.fields
+    assert fields["what"] == "[u, p] must be ideal-supported"
+    assert fields["value"] == pytest.approx(1.0)
+    assert fields["bound"] == 1e-8
+
+
 def test_sf_unitary_dirac_anchor_m2_k1():
     # brute force oracle at the smallest window: kernel ranks from raw SVD
     triple, u = dirac_circle(2, 1)
@@ -310,6 +323,41 @@ def test_sf_unbounded_quotient_drift_detection():
         sf_unbounded(triple, OperatorPath.linear(alg.zero(), bad))
 
 
+def test_sf_unbounded_drift_error_carries_fields():
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    d = BlockOperator([np.diag([1.0, -1.0]), np.diag([1e9, -1e9])])
+    triple = make_triple(alg, {"1": alg.identity()}, d)
+    # the non-ideal eigenvalue 1e9 - 2e9 t reaches 0 at the grid point t = 1/2,
+    # where its bounded transform has moved from 1 to 0
+    bad = BlockOperator([np.zeros((2, 2)), np.diag([-2e9, 0.0])])
+    with pytest.raises(ModelError) as err:
+        sf_unbounded(triple, OperatorPath.linear(alg.zero(), bad))
+    fields = err.value.fields
+    assert fields["what"] == "quotient image of the bounded transform must not drift"
+    assert (fields["t"], fields["bound"]) == (0.5, 1e-8)
+    assert fields["value"] == pytest.approx(1.0)
+    assert str(err.value).endswith(": 1.000e+00 > 1.000e-08 at t = 0.5")
+
+
+def test_sf_unbounded_transforms_each_time_once(monkeypatch):
+    import vnflow.triples
+
+    triple, _ = _mixed_triple()
+    zero = triple.alg.zero()
+    path = OperatorPath.linear(zero, zero)
+    expected = sf_unbounded(triple, path)
+    calls = []
+
+    def counted(d, tol):
+        calls.append(d)
+        return bounded_transform(d, tol)
+
+    monkeypatch.setattr(vnflow.triples, "bounded_transform", counted)
+    assert sf_unbounded(triple, path) == expected
+    # nine equally spaced drift samples, two of them the keyframes 0 and 1
+    assert len(calls) == 9
+
+
 # -- pushforward -----------------------------------------------------------------------
 
 
@@ -332,6 +380,29 @@ def test_pushforward_identity_unitary():
     triple, _ = _mixed_triple()
     sub, padded = pushforward_sf(triple, triple.alg.identity(), [True, False, False])
     assert sub.is_zero and padded.is_zero
+
+
+def test_pushforward_reuses_the_flow_kernels(monkeypatch):
+    import vnflow.corner
+    import vnflow.triples
+    from vnflow import null_projection
+
+    triple, u = _mixed_triple()
+    calls = []
+
+    def counted(op, tol):
+        calls.append(op)
+        return null_projection(op, tol)
+
+    for module in (vnflow.corner, vnflow.triples):
+        monkeypatch.setattr(module, "null_projection", counted, raising=False)
+    sf_unitary(triple, u)
+    # kernel and cokernel of the three routes: both lifts and the corner
+    assert len(calls) == 6
+    calls.clear()
+    sub, padded = pushforward_sf(triple, u, [True, False, False])
+    assert len(calls) == 6
+    assert padded == sf_unitary(triple, u)
 
 
 def test_pushforward_rejects_mask_missing_support():
