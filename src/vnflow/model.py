@@ -13,6 +13,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -58,6 +59,12 @@ class Tolerances:
     max_depth: int = 20
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            kind = numbers.Integral if name == "max_depth" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ModelError(
+                    f"tolerance {name} must be {kind.__name__.lower()}, got {value!r}"
+                )
         for name in ("proj", "kernel", "gap", "intersection"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -105,7 +112,7 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norm(mat: np.ndarray) -> float:
-    if mat.size == 0:
+    if not mat.any():  # exact, and it covers the empty matrix; a NaN is nonzero
         return 0.0
     try:
         return float(np.linalg.norm(mat, 2))
@@ -220,8 +227,11 @@ class BlockOperator:
     """An element of the model: one complex square matrix per block.
 
     Instances are immutable; the underlying arrays are copies with the
-    writeable flag cleared.  Norm and the selfadjoint / projection / unitary
-    defect checks are cached on first use.  ``apply`` and
+    writeable flag cleared.  The norm and the selfadjoint / projection /
+    unitary defects (spectral norms) are cached on first use.  The ``is_*``
+    and ``require_*`` checks first screen the defect matrices with Frobenius
+    norms and pass without an SVD when those prove the defect small enough;
+    otherwise they compare, and report, the spectral defect.  ``apply`` and
     ``spectral_projection`` act on the Hermitian part of each block.
     """
 
@@ -294,58 +304,81 @@ class BlockOperator:
 
     # -- cached flags ----------------------------------------------------------
 
+    def _defect_matrices(self, kind: str) -> list[np.ndarray]:
+        """The matrices whose largest spectral norm is the ``kind`` defect:
+        ``b - b*`` ("sa"); ``b b - b``, then ``b - b*`` ("proj"); ``b* b - 1``
+        and ``b b* - 1`` ("uni")."""
+        if kind == "uni":
+            return [
+                m - np.eye(len(b))
+                for b in self.blocks
+                for m in (b.conj().T @ b, b @ b.conj().T)
+            ]
+        adjoint = [b - b.conj().T for b in self.blocks]
+        return [b @ b - b for b in self.blocks] + adjoint if kind == "proj" else adjoint
+
+    def _defect(self, kind: str) -> float:
+        if kind not in self._cache:
+            self._cache[kind] = _max_norm(self._defect_matrices(kind))
+        return self._cache[kind]
+
     def selfadjoint_defect(self) -> float:
-        if "sa" not in self._cache:
-            self._cache["sa"] = _max_norm(b - b.conj().T for b in self.blocks)
-        return self._cache["sa"]
+        return self._defect("sa")
 
     def projection_defect(self) -> float:
-        if "proj" not in self._cache:
-            idem = _max_norm(b @ b - b for b in self.blocks)
-            self._cache["proj"] = max(idem, self.selfadjoint_defect())
-        return self._cache["proj"]
+        return self._defect("proj")
 
     def unitary_defect(self) -> float:
-        if "uni" not in self._cache:
-            defect = 0.0
-            for b in self.blocks:
-                eye = np.eye(b.shape[0])
-                defect = max(
-                    defect,
-                    _spectral_norm(b.conj().T @ b - eye),
-                    _spectral_norm(b @ b.conj().T - eye),
-                )
-            self._cache["uni"] = defect
-        return self._cache["uni"]
+        return self._defect("uni")
+
+    def _check(
+        self, kind: str, tol: Tolerances, eps: float | None = None
+    ) -> tuple[float, float] | None:
+        """``None`` when a Frobenius screen proves the ``kind`` check passes, else
+        the spectral defect and its bound (``eps`` if given, else
+        ``tol.proj_eps(norm)``).  The screen asks every defect matrix for a
+        Frobenius norm (>= spectral) of at most half the smallest bound,
+        ``tol.proj`` or ``eps``; the half covers rounding in both norms.  Bounds
+        below 1e-140 are not screened: the summed squares could underflow."""
+        floor = tol.proj if eps is None else eps
+        if kind not in self._cache:
+            mats = self._defect_matrices(kind)
+            if floor >= 1e-140 and all(np.linalg.norm(m) <= 0.5 * floor for m in mats):
+                return None
+            self._cache[kind] = _max_norm(mats)
+        return self._cache[kind], tol.proj_eps(self.norm()) if eps is None else eps
+
+    def _passes(self, kind: str, tol: Tolerances) -> bool:
+        check = self._check(kind, tol)
+        return check is None or check[0] <= check[1]
+
+    def _require(self, kind: str, what: str, tol: Tolerances, eps: float | None = None) -> None:
+        check = self._check(kind, tol, eps)
+        if check is not None:
+            check_residual(what, *check)
 
     def is_selfadjoint(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.selfadjoint_defect() <= tol.proj_eps(self.norm())
+        return self._passes("sa", tol)
 
     def is_projection(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.projection_defect() <= tol.proj_eps(self.norm())
+        return self._passes("proj", tol)
 
     def is_unitary(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.unitary_defect() <= tol.proj_eps(self.norm())
+        return self._passes("uni", tol)
 
     # -- preconditions: raise PreconditionError where ``is_*`` is false --------
 
     def require_selfadjoint(self, what: str, tol: Tolerances = DEFAULT_TOL) -> None:
-        check_residual(
-            f"{what} must be selfadjoint", self.selfadjoint_defect(), tol.proj_eps(self.norm())
-        )
+        self._require("sa", f"{what} must be selfadjoint", tol)
 
     def require_projection(self, what: str, tol: Tolerances = DEFAULT_TOL) -> None:
-        check_residual(
-            f"{what} must be a projection", self.projection_defect(), tol.proj_eps(self.norm())
-        )
+        self._require("proj", f"{what} must be a projection", tol)
 
     def require_unitary(
         self, what: str, tol: Tolerances = DEFAULT_TOL, eps: float | None = None
     ) -> None:
         """``eps``, when given, is an absolute bound in place of ``tol``."""
-        if eps is None:
-            eps = tol.proj_eps(self.norm())
-        check_residual(f"{what} must be unitary", self.unitary_defect(), eps)
+        self._require("uni", f"{what} must be unitary", tol, eps)
 
     # -- algebra ---------------------------------------------------------------
 

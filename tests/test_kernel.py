@@ -15,11 +15,16 @@ from vnflow import (
     DEFAULT_TOL,
     BlockOperator,
     NumericsError,
+    PreconditionError,
+    Tolerances,
     block_ranks,
     bounded_transform,
     chi,
     proj_intersection,
 )
+from vnflow.model import _spectral_norm
+
+from conftest import haar_unitary, random_matrix, random_projection, random_selfadjoint
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vnflow"
 
@@ -79,11 +84,159 @@ def test_lapack_failure_is_a_numerics_error():
         chi(bad)
 
 
+# -- the Frobenius screen and the zero shortcut ----------------------------------
+
+# Each check by its key: the exact defect, the ``is_*`` and ``require_*`` method.
+_CHECKS = {
+    "sa": ("selfadjoint_defect", "is_selfadjoint", "require_selfadjoint"),
+    "proj": ("projection_defect", "is_projection", "require_projection"),
+    "uni": ("unitary_defect", "is_unitary", "require_unitary"),
+}
+
+
+@st.composite
+def near_miss_checks(draw):
+    """A check, tolerances, blocks whose defect for that check is scaled to lie
+    between a quarter of ``tol.proj`` and four times ``tol.proj_eps(norm)``,
+    and a factor between 1/4 and 4 for an absolute ``eps``.  The perturbation
+    is rank one (Frobenius equals spectral) or full."""
+    kind = draw(st.sampled_from(sorted(_CHECKS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    if kind == "sa":
+        scale = draw(st.floats(0.1, 100.0))
+        blocks = [random_selfadjoint(n, rng, scale) for n in dims]
+    elif kind == "proj":
+        blocks = [random_projection(n, int(rng.integers(0, n + 1)), rng) for n in dims]
+    else:
+        blocks = [haar_unitary(n, rng) for n in dims]
+    tol = Tolerances(proj=10.0 ** draw(st.floats(-10.0, -5.0)))
+    norm = max(np.linalg.norm(b, 2) for b in blocks)
+    low, high = tol.proj / 4, 4 * tol.proj_eps(norm)
+    i = draw(st.integers(0, len(dims) - 1))
+    n = dims[i]
+    e = random_matrix(n, rng)
+    if draw(st.booleans()):
+        e = np.outer(e[:, 0], e[0].conj())
+    e *= low * (high / low) ** draw(st.floats(0.0, 1.0)) / np.linalg.norm(e, 2)
+    blocks[i] = blocks[i] + e
+    return kind, tol, blocks, 2.0 ** draw(st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(near_miss_checks())
+def test_screened_checks_decide_as_the_spectral_comparison(case):
+    kind, tol, blocks, factor = case
+    defect, is_name, require = _CHECKS[kind]
+    reference = BlockOperator(blocks)
+    value, bound = getattr(reference, defect)(), tol.proj_eps(reference.norm())
+    assert getattr(BlockOperator(blocks), is_name)(tol) == (value <= bound)
+    if value <= bound:
+        getattr(BlockOperator(blocks), require)("x", tol)
+    else:
+        with pytest.raises(PreconditionError) as err:
+            getattr(BlockOperator(blocks), require)("x", tol)
+        assert err.value.fields["value"] == value and err.value.fields["bound"] == bound
+    if kind == "uni":
+        eps = value * factor
+        if value <= eps:
+            BlockOperator(blocks).require_unitary("x", tol, eps)
+        else:
+            with pytest.raises(PreconditionError):
+                BlockOperator(blocks).require_unitary("x", tol, eps)
+
+
+@pytest.mark.parametrize("kind", sorted(_CHECKS))
+def test_nan_blocks_fail_every_check(kind):
+    blocks = [np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])]
+    _, is_name, require = _CHECKS[kind]
+    with pytest.raises(NumericsError):
+        getattr(BlockOperator(blocks), is_name)()
+    with pytest.raises(NumericsError):
+        getattr(BlockOperator(blocks), require)("x")
+
+
+@pytest.mark.parametrize("excess", [1 + 1e-6, 1.5, 1.99])
+def test_rank_one_defects_above_their_bound_fail(excess):
+    """A rank-one defect has equal Frobenius and spectral norms, so a screen
+    looser than its bound would pass it."""
+    w = np.array([1.0, 2.0j, -1.0]) / np.sqrt(6.0)
+    rank_one = np.outer(w, w.conj())
+    tol = Tolerances(proj=1e-8)
+    # b - b* = excess * proj * rank_one, and ||b|| is tiny, so the bound is about proj
+    skew = BlockOperator([0.5j * excess * tol.proj * rank_one])
+    assert skew.selfadjoint_defect() > tol.proj_eps(skew.norm())
+    assert not BlockOperator(skew.blocks).is_selfadjoint(tol)
+    # b* b - 1 = (2 d + d^2) * rank_one for b = 1 + d * rank_one
+    near = BlockOperator([np.eye(3) + 1e-8 * rank_one])
+    eps = near.unitary_defect() / excess
+    with pytest.raises(PreconditionError):
+        BlockOperator(near.blocks).require_unitary("u", tol, eps)
+
+
+def test_tiny_bounds_are_not_screened():
+    # the squares of 1e-170 underflow, so its Frobenius norm computes as 0
+    tol = Tolerances(proj=1e-300)
+    a = BlockOperator([np.array([[0.0, 1e-170], [0.0, 0.0]])])
+    assert np.linalg.norm(a.blocks[0]) == 0.0
+    assert not a.is_selfadjoint(tol)
+    with pytest.raises(PreconditionError):
+        a.require_selfadjoint("a", tol)
+
+
+def _count_norm2(monkeypatch) -> list:
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return calls
+
+
+def test_spectral_norm_of_zero_and_empty_matrices_is_exact(monkeypatch):
+    calls = _count_norm2(monkeypatch)
+    assert _spectral_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+    assert _spectral_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+    assert calls == []
+
+
+def test_passing_checks_take_no_svd(monkeypatch):
+    rng = np.random.default_rng(5)
+    h = BlockOperator([random_selfadjoint(4, rng), random_selfadjoint(2, rng)])
+    p = chi(h)
+    calls = _count_norm2(monkeypatch)
+    h.require_selfadjoint("h")
+    p.require_projection("chi(h)")
+    assert h.is_selfadjoint() and p.is_projection()
+    assert calls == []
+
+
+def test_failing_checks_report_the_spectral_defect():
+    rng = np.random.default_rng(6)
+    blocks = [random_projection(3, 1, rng) + 1e-6 * random_matrix(3, rng)]
+    p = BlockOperator(blocks)
+    with pytest.raises(PreconditionError) as err:
+        p.require_projection("p")
+    reference = BlockOperator(blocks)
+    value, bound = reference.projection_defect(), DEFAULT_TOL.proj_eps(reference.norm())
+    assert str(err.value) == f"p must be a projection: {value:.3e} > {bound:.3e}"
+
+
 # -- layering guard -------------------------------------------------------------
 
 
 def _is_two(node: ast.AST | None) -> bool:
     return isinstance(node, ast.Constant) and node.value == 2
+
+
+def _is_linalg(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "linalg") or (
+        isinstance(node, ast.Name) and node.id == "linalg"
+    )
 
 
 def _violations(tree: ast.AST, defect_compares: bool) -> list[str]:
@@ -97,6 +250,11 @@ def _violations(tree: ast.AST, defect_compares: bool) -> list[str]:
             ord_kw = [k.value for k in node.keywords if k.arg == "ord"]
             if attr == "norm" and (_is_two(ord_arg) or any(map(_is_two, ord_kw))):
                 found.append(f"line {node.lineno}: norm(..., 2)")
+            elif attr == "norm" and _is_linalg(node.func.value):
+                found.append(f"line {node.lineno}: linalg.norm")
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            if any(alias.name in ("norm", "*") for alias in node.names):
+                found.append(f"line {node.lineno}: import of linalg.norm")
         if (
             isinstance(node, ast.BinOp)
             and isinstance(node.op, ast.Mult)
@@ -129,8 +287,8 @@ _KERNEL_OWNERS = ("model.py", "generators.py")
     ids=lambda p: p.name,
 )
 def test_spectral_kernel_stays_in_model(path):
-    """Eigendecompositions, spectral norms, the Hermitian part and defect
-    thresholds live in model.py."""
+    """Eigendecompositions, matrix norms (spectral and Frobenius), the
+    Hermitian part and defect thresholds live in model.py."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _violations(tree, defect_compares=True) == []
 
@@ -141,8 +299,12 @@ def test_guard_sees_the_patterns():
         "n = float(np.linalg.norm(x, 2))\n"
         "m = np.linalg.norm(x, ord=2)\n"
         "if op.selfadjoint_defect() > eps: pass\n"
+        "f = np.linalg.norm(x)\n"
+        "g = scipy.linalg.norm(x, 'fro') + linalg.norm(x)\n"
+        "from numpy.linalg import norm\n"
+        "n = op.norm() + np.abs(x).max()\n"
     )
-    assert len(_violations(ast.parse(source), defect_compares=True)) == 5
+    assert len(_violations(ast.parse(source), defect_compares=True)) == 9
     generators = ast.parse((SRC / "generators.py").read_text(encoding="utf-8"))
     assert _violations(generators, defect_compares=False)
 

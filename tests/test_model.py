@@ -252,6 +252,27 @@ def test_tolerances_reject_out_of_range_fields(field, value):
         Tolerances(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_depth", 2.5),
+        ("max_depth", 20.0),
+        ("max_depth", True),
+        ("proj", "1e-8"),
+        ("gap", True),
+        ("margin", False),
+    ],
+)
+def test_tolerances_reject_mistyped_fields(field, value):
+    with pytest.raises(ModelError, match=f"tolerance {field} must be"):
+        Tolerances(**{field: value})
+
+
+def test_tolerances_accept_numpy_scalars():
+    tol = Tolerances(proj=np.float64(1e-8), kernel=1, max_depth=np.int64(3))
+    assert tol.proj_eps(1.0) == 2e-8 and tol.max_depth == 3
+
+
 # -- the residual check ------------------------------------------------------------
 
 
