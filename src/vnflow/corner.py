@@ -23,7 +23,6 @@ from .model import (
     K0Class,
     Tolerances,
     VnAlgebra,
-    _max_norm,
     check_residual,
     check_support,
     k0_of_difference,
@@ -94,7 +93,7 @@ def is_corner_fredholm(
     tolerance.  Vacuously true (infinite gap) when everything is ideal.
     """
     alg.require_conformal(s)
-    defect = _max_norm(a - b for a, b in zip(s.blocks, (q @ s @ p).blocks))
+    defect = (s - q @ s @ p).norm()
     check_residual("corner operator S must equal qSp", defect, tol.proj_eps(s.norm()))
     p_bases, q_bases = range_basis(p), range_basis(q)
     reports = tuple(

@@ -25,7 +25,6 @@ from .model import (
     Tolerances,
     VnAlgebra,
     _eigvalsh,
-    _spectral_norm,
     k0_of_difference,
     tau_star,
 )
@@ -56,18 +55,19 @@ class _Spectra(dict):
 
     def __init__(self, path: OperatorPath, alg: VnAlgebra) -> None:
         super().__init__()
-        self.path, self.alg = path, alg
-        self.starts = np.cumsum([0] + [alg.dims[i] for i in alg.nonideal_indices][:-1])
+        self.path, self.nonideal = path, alg.nonideal_indices
 
     def __missing__(self, t: float) -> tuple[float, np.ndarray]:
-        op = self.path.at(t)
-        w = np.concatenate([_eigvalsh(op.blocks[i]) for i in self.alg.nonideal_indices])
-        neg = w < 0.0
-        gaps = np.minimum.reduceat(
-            [np.where(neg, np.inf, w), np.where(neg, -w, np.inf)], self.starts, axis=1
-        )
-        sizes = np.add.reduceat(neg, self.starts)
-        self[t] = (float(np.min(np.abs(w))), np.vstack([gaps, sizes]))
+        sides = np.empty((3, len(self.nonideal)))
+        gap = np.inf
+        for pos, st in self.path.at(t)._stacks_of(self.nonideal):
+            w = _eigvalsh(st)
+            neg = w < 0.0
+            sides[0, pos] = np.minimum.reduce(np.where(neg, np.inf, w), axis=1)
+            sides[1, pos] = np.minimum.reduce(np.where(neg, -w, np.inf), axis=1)
+            sides[2, pos] = np.add.reduce(neg, axis=1)
+            gap = np.minimum(gap, np.minimum.reduce(np.abs(w), axis=None))
+        self[t] = (float(gap), sides)
         return self[t]
 
 
@@ -147,9 +147,10 @@ def certify_path(
             )
         return g
 
+    nonideal = alg.nonideal_indices
+
     def movement(a: float, b: float) -> np.ndarray:
-        pa, pb = path.at(a).blocks, path.at(b).blocks
-        return np.array([_spectral_norm(pb[i] - pa[i]) for i in alg.nonideal_indices])
+        return (path.at(b) - path.at(a))._block_norms(nonideal)
 
     def certify_segment(a: float, b: float, move: np.ndarray, depth: int) -> None:
         if (gap_at(a) + gap_at(b) - move.max()) / 2.0 > floor:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -67,7 +69,11 @@ class Tolerances:
                 )
         for name in ("proj", "kernel", "gap", "intersection"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            try:
+                valid = math.isfinite(value) and value > 0.0
+            except OverflowError:  # an int beyond the float range
+                valid = False
+            if not valid:
                 raise ModelError(f"tolerance {name} must be finite and > 0, got {value}")
         if not 0.0 <= self.margin < 0.5:
             raise ModelError(f"tolerance margin must lie in [0, 1/2), got {self.margin}")
@@ -87,12 +93,15 @@ DEFAULT_TOL = Tolerances()
 # -- the Hermitian spectral kernel ---------------------------------------------
 #
 # Every eigendecomposition and spectral norm in the package goes through the
-# functions below.  The LAPACK entry points are looked up on ``np.linalg`` at
-# call time, and a LAPACK failure surfaces as NumericsError.
+# functions below.  Each takes a matrix or a stack of equal-sized matrices (a
+# (k, n, n) array) and makes one LAPACK call for the whole stack; stacked
+# results are bitwise equal to the per-matrix ones.  The LAPACK entry points
+# are looked up on ``np.linalg`` at call time, and a LAPACK failure surfaces
+# as NumericsError.
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + mat.conj().mT)
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,18 +120,72 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
         raise NumericsError(f"Hermitian eigenvalue computation failed: {exc}") from exc
 
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    if not mat.any():  # exact, and it covers the empty matrix; a NaN is nonzero
-        return 0.0
+def _spectral_norm(mat: np.ndarray):
+    """The spectral norm of a matrix (a float), or of each matrix of a stack
+    (an array).  An all-zero matrix gets an exact 0 without an SVD; this
+    covers the empty matrix, and a NaN is nonzero."""
+    if not mat.any():
+        return 0.0 if mat.ndim == 2 else np.zeros(len(mat))
+    if mat.ndim == 3 and len(mat) > 1:
+        nonzero = mat.any(axis=(1, 2))
+        if not nonzero.all():
+            norms = np.zeros(len(mat))
+            norms[nonzero] = _spectral_norm(mat[nonzero])
+            return norms
     try:
-        return float(np.linalg.norm(mat, 2))
+        norms = np.linalg.norm(mat, 2, axis=(-2, -1))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"spectral norm failed: {exc}") from exc
+    return float(norms) if mat.ndim == 2 else norms
+
+
+def _frobenius(stack: np.ndarray):
+    """The Frobenius norm of each matrix of a stack.  The flat norm of a stack
+    of one is its matrix's, and the flat call costs less."""
+    return np.linalg.norm(stack) if len(stack) == 1 else np.linalg.norm(stack, axis=(-2, -1))
+
+
+def _largest(values: Iterable) -> float:
+    """The largest of some numbers and arrays of numbers, 0 for none.  A NaN
+    anywhere makes it NaN (Python's ``max`` keeps a NaN only when it comes
+    first)."""
+    worst = 0.0
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v = v[0] if len(v) == 1 else v.max()
+        if v != v:
+            return float(v)
+        worst = max(worst, v)
+    return float(worst)
 
 
 def _max_norm(mats: Iterable[np.ndarray]) -> float:
-    """The largest spectral norm in a family of matrices; 0 for no matrices."""
-    return max((_spectral_norm(m) for m in mats), default=0.0)
+    """The largest spectral norm over matrices and stacks of matrices."""
+    return _largest(_spectral_norm(m) for m in mats)
+
+
+def _projector(mask: np.ndarray, columns: Callable) -> np.ndarray:
+    """The stack of projections ``c @ c*`` for a boolean (k, n) ``mask``, where
+    ``c = columns(rows, keep)`` are the kept basis columns of the stack rows
+    ``rows`` that share the mask row ``keep``.  Rows are grouped by mask
+    rather than the dropped columns zeroed, which would change the last bit."""
+    groups: dict[tuple, list[int]] = {}
+    if len(mask) > 1:
+        for j, row in enumerate(mask.tolist()):
+            groups.setdefault(tuple(row), []).append(j)
+    if len(groups) <= 1:
+        c = columns(slice(None), mask[0])
+        return c @ c.conj().mT
+    out = np.empty(mask.shape + mask.shape[-1:], dtype=complex)
+    for keep, rows in groups.items():
+        c = columns(rows, np.array(keep))
+        out[rows] = c @ c.conj().mT
+    return out
+
+
+def _eigenprojector(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Projections onto the eigenvectors, the columns of ``v``, that ``mask`` keeps."""
+    return _projector(mask, lambda rows, keep: v[rows][..., keep])
 
 
 # The package's one residual check: every "residual <= tolerance" condition
@@ -151,10 +214,11 @@ def check_support(
     what: str, op: "BlockOperator", blocks: Iterable[int], bound: float, error=NotInIdealError
 ) -> float:
     """Check that ``op`` vanishes on ``blocks``, reading only those: each block
-    norm is a residual.  Returns the largest (0 for no blocks)."""
+    norm is a residual, checked in the order of ``blocks``.  Returns the
+    largest (0 for no blocks)."""
+    blocks = tuple(blocks)
     worst = 0.0
-    for i in blocks:
-        norm = _spectral_norm(op.blocks[i])
+    for i, norm in zip(blocks, op._block_norms(blocks).tolist()):
         worst = max(worst, check_residual(what, norm, bound, error, block=i))
     return worst
 
@@ -223,32 +287,102 @@ class VnAlgebra:
             )
 
 
+@lru_cache(maxsize=256)
+def _groups(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The indices of the blocks of each dimension, dimensions in order of
+    first appearance: the layout of an operator's stacks."""
+    by_dim: dict[int, list[int]] = {}
+    for i, n in enumerate(dims):
+        by_dim.setdefault(n, []).append(i)
+    return _frozen(*[np.array(idx) for idx in by_dim.values()])
+
+
+@lru_cache(maxsize=256)
+def _selection(dims: tuple[int, ...], blocks: tuple[int, ...]) -> tuple:
+    """Per stack holding any of ``blocks``: the stack's number, the positions
+    in ``blocks`` of the blocks it holds, and their rows in the stack (None
+    for all rows in order)."""
+    groups = _groups(dims)
+    place = {i: (s, r) for s, idx in enumerate(groups) for r, i in enumerate(idx.tolist())}
+    picked: dict[int, list[tuple[int, int]]] = {}
+    for pos, i in enumerate(blocks):
+        s, r = place[range(len(dims))[i]]
+        picked.setdefault(s, []).append((pos, r))
+    out = []
+    for s, chosen in sorted(picked.items()):
+        positions, rows = _frozen(*(np.array(x) for x in zip(*chosen)))
+        every = rows.tolist() == list(range(len(groups[s])))
+        out.append((s, positions, None if every else rows))
+    return tuple(out)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 class BlockOperator:
     """An element of the model: one complex square matrix per block.
 
-    Instances are immutable; the underlying arrays are copies with the
-    writeable flag cleared.  The norm and the selfadjoint / projection /
-    unitary defects (spectral norms) are cached on first use.  The ``is_*``
-    and ``require_*`` checks first screen the defect matrices with Frobenius
-    norms and pass without an SVD when those prove the defect small enough;
-    otherwise they compare, and report, the spectral defect.  ``apply`` and
-    ``spectral_projection`` act on the Hermitian part of each block.
+    The blocks are stored grouped by dimension, one read-only (k, n, n) stack
+    per dimension, so that the kernel makes one LAPACK call per stack.
+    ``blocks`` gives read-only views in block order.  Instances are immutable;
+    the stacks are copies of the input blocks.  The norm and the selfadjoint /
+    projection / unitary defects (spectral norms) are cached on first use.
+    The ``is_*`` and ``require_*`` checks first screen the defect matrices with
+    Frobenius norms and pass without an SVD when those prove the defect small
+    enough; otherwise they compare, and report, the spectral defect.
+    ``apply`` and ``spectral_projection`` act on the Hermitian part of each
+    block.
     """
 
-    __slots__ = ("blocks", "_cache")
+    __slots__ = ("dims", "_groups", "_stacks", "_blocks", "_cache")
 
     def __init__(self, blocks: Sequence[np.ndarray]) -> None:
         mats = []
         for raw in blocks:
-            arr = np.array(raw, dtype=complex)
+            arr = np.asarray(raw, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ModelError(f"blocks must be square matrices, got shape {arr.shape}")
-            arr.setflags(write=False)
             mats.append(arr)
         if not mats:
             raise ModelError("an operator needs at least one block")
-        self.blocks = tuple(mats)
+        self.dims: tuple[int, ...] = tuple(m.shape[0] for m in mats)
+        self._groups = _groups(self.dims)
+        self._stacks = _frozen(*[np.array([mats[i] for i in idx.tolist()]) for idx in self._groups])
+        self._blocks: tuple[np.ndarray, ...] | None = None
         self._cache: dict = {}
+
+    def _like(self, stacks: list[np.ndarray]) -> "BlockOperator":
+        """An operator with this one's block structure that takes over
+        ``stacks``: new C-contiguous complex arrays, one per stack of this one."""
+        op = object.__new__(BlockOperator)
+        op.dims, op._groups, op._blocks, op._cache = self.dims, self._groups, None, {}
+        op._stacks = _frozen(*stacks)
+        return op
+
+    def _stacks_of(self, blocks: tuple[int, ...] | None = None) -> Iterable:
+        """(positions in ``blocks``, stack of those blocks) per block dimension;
+        for all blocks (None) the positions are the block indices."""
+        if blocks is None:
+            return zip(self._groups, self._stacks)
+        return [
+            (pos, self._stacks[s] if rows is None else self._stacks[s][rows])
+            for s, pos, rows in _selection(self.dims, blocks)
+        ]
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """One read-only (dim, dim) view per block, in block order."""
+        if self._blocks is None:
+            views: list = [None] * len(self.dims)
+            for idx, st in self._stacks_of():
+                for i, view in zip(idx.tolist(), st):
+                    views[i] = view
+            self._blocks = tuple(views)
+        return self._blocks
 
     # -- construction helpers -------------------------------------------------
 
@@ -256,66 +390,63 @@ class BlockOperator:
         return BlockOperator([fn(b) for b in self.blocks])
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "BlockOperator":
-        """Functional calculus: ``fn`` applied to the spectrum of the Hermitian part."""
-
-        def calculus(b: np.ndarray) -> np.ndarray:
-            w, v = _eigh(b)
-            return (v * fn(w)) @ v.conj().T
-
-        return self.map_blocks(calculus)
+        """Functional calculus: ``fn`` applied to the spectrum of the Hermitian
+        part.  ``fn`` acts elementwise on an array of eigenvalues."""
+        stacks = []
+        for st in self._stacks:
+            w, v = _eigh(st)
+            stacks.append((v * fn(w)[:, None, :]) @ v.conj().mT)
+        return self._like(stacks)
 
     def spectral_projection(
         self, keep: Callable[[np.ndarray], np.ndarray]
     ) -> "BlockOperator":
         """Projection onto the eigenvectors of the Hermitian part whose
-        eigenvalues pass the boolean mask ``keep``."""
-
-        def projection(b: np.ndarray) -> np.ndarray:
-            w, v = _eigh(b)
-            cols = v[:, keep(w)]
-            return cols @ cols.conj().T
-
-        return self.map_blocks(projection)
+        eigenvalues pass the elementwise boolean mask ``keep``."""
+        return self._like([_eigenprojector(v, keep(w)) for w, v in map(_eigh, self._stacks)])
 
     # -- basic queries ---------------------------------------------------------
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    @property
     def H(self) -> "BlockOperator":
         """The adjoint (blockwise conjugate transpose)."""
-        return BlockOperator([b.conj().T for b in self.blocks])
+        return self._like([np.ascontiguousarray(st.conj().mT) for st in self._stacks])
 
     def norm(self) -> float:
         """Operator norm: the maximum spectral norm over all blocks."""
         if "norm" not in self._cache:
-            self._cache["norm"] = _max_norm(self.blocks)
+            self._cache["norm"] = _max_norm(self._stacks)
         return self._cache["norm"]
+
+    def _block_norms(self, blocks: tuple[int, ...]) -> np.ndarray:
+        """The spectral norms of ``blocks``, in that order."""
+        norms = np.empty(len(blocks))
+        for pos, st in self._stacks_of(blocks):
+            norms[pos] = _spectral_norm(st)
+        return norms
 
     def allclose(self, other: "BlockOperator", atol: float = 1e-10) -> bool:
         if self.dims != other.dims:
             return False
         return all(
             np.allclose(a, b, atol=atol, rtol=0.0)
-            for a, b in zip(self.blocks, other.blocks)
+            for a, b in zip(self._stacks, other._stacks)
         )
 
     # -- cached flags ----------------------------------------------------------
 
     def _defect_matrices(self, kind: str) -> list[np.ndarray]:
-        """The matrices whose largest spectral norm is the ``kind`` defect:
+        """The stacks whose largest spectral norm is the ``kind`` defect:
         ``b - b*`` ("sa"); ``b b - b``, then ``b - b*`` ("proj"); ``b* b - 1``
         and ``b b* - 1`` ("uni")."""
         if kind == "uni":
             return [
-                m - np.eye(len(b))
-                for b in self.blocks
-                for m in (b.conj().T @ b, b @ b.conj().T)
+                m - np.eye(st.shape[-1])
+                for st in self._stacks
+                for m in (st.conj().mT @ st, st @ st.conj().mT)
             ]
-        adjoint = [b - b.conj().T for b in self.blocks]
-        return [b @ b - b for b in self.blocks] + adjoint if kind == "proj" else adjoint
+        adjoint = [st - st.conj().mT for st in self._stacks]
+        return [st @ st - st for st in self._stacks] + adjoint if kind == "proj" else adjoint
 
     def _defect(self, kind: str) -> float:
         if kind not in self._cache:
@@ -336,17 +467,24 @@ class BlockOperator:
     ) -> tuple[float, float] | None:
         """``None`` when a Frobenius screen proves the ``kind`` check passes, else
         the spectral defect and its bound (``eps`` if given, else
-        ``tol.proj_eps(norm)``).  The screen asks every defect matrix for a
-        Frobenius norm (>= spectral) of at most half the smallest bound,
-        ``tol.proj`` or ``eps``; the half covers rounding in both norms.  Bounds
-        below 1e-140 are not screened: the summed squares could underflow."""
+        ``tol.proj_eps(norm)``).  The screen asks for a largest Frobenius norm
+        (>= spectral) over the defect matrices of at most half the smallest
+        bound, ``tol.proj`` or ``eps``; the half covers rounding in both norms.
+        That largest norm is cached, so a later check with another bound reuses
+        it.  Bounds below 1e-140 are not screened: the summed squares could
+        underflow."""
         floor = tol.proj if eps is None else eps
-        if kind not in self._cache:
-            mats = self._defect_matrices(kind)
-            if floor >= 1e-140 and all(np.linalg.norm(m) <= 0.5 * floor for m in mats):
-                return None
-            self._cache[kind] = _max_norm(mats)
-        return self._cache[kind], tol.proj_eps(self.norm()) if eps is None else eps
+        cache = self._cache
+        if kind not in cache:
+            mats = None
+            if floor >= 1e-140:
+                if ("fro", kind) not in cache:
+                    mats = self._defect_matrices(kind)
+                    cache["fro", kind] = _largest(_frobenius(m) for m in mats)
+                if cache["fro", kind] <= 0.5 * floor:
+                    return None
+            cache[kind] = _max_norm(self._defect_matrices(kind) if mats is None else mats)
+        return cache[kind], tol.proj_eps(self.norm()) if eps is None else eps
 
     def _passes(self, kind: str, tol: Tolerances) -> bool:
         check = self._check(kind, tol)
@@ -387,23 +525,23 @@ class BlockOperator:
             return NotImplemented
         if self.dims != other.dims:
             raise ModelError(f"block shape mismatch: {self.dims} vs {other.dims}")
-        return BlockOperator([fn(a, b) for a, b in zip(self.blocks, other.blocks)])
+        return self._like([fn(a, b) for a, b in zip(self._stacks, other._stacks)])
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, operator.add)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, operator.sub)
 
     def __matmul__(self, other):
-        return self._binary(other, lambda a, b: a @ b)
+        return self._binary(other, operator.matmul)
 
     def __neg__(self):
-        return BlockOperator([-b for b in self.blocks])
+        return self._like([-st for st in self._stacks])
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex)):
-            return BlockOperator([scalar * b for b in self.blocks])
+            return self._like([scalar * st for st in self._stacks])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -519,9 +657,7 @@ class OperatorPath:
         t0, op0 = self.keyframes[idx]
         t1, op1 = self.keyframes[idx + 1]
         s = (t - t0) / (t1 - t0)
-        return BlockOperator(
-            [(1.0 - s) * a + s * b for a, b in zip(op0.blocks, op1.blocks)]
-        )
+        return op0._like([(1.0 - s) * a + s * b for a, b in zip(op0._stacks, op1._stacks)])
 
     def reversed(self) -> "OperatorPath":
         frames = [(1.0 - t, op) for t, op in reversed(self.keyframes)]
@@ -553,7 +689,7 @@ def quotient_norm(op: BlockOperator, alg: VnAlgebra) -> float:
     Returns 0 when every block belongs to the ideal (the quotient is zero).
     """
     alg.require_conformal(op)
-    return _max_norm(op.blocks[i] for i in alg.nonideal_indices)
+    return _max_norm(st for _, st in op._stacks_of(alg.nonideal_indices))
 
 
 def block_ranks(p: BlockOperator) -> tuple[int, ...]:
@@ -562,11 +698,10 @@ def block_ranks(p: BlockOperator) -> tuple[int, ...]:
     Eigenvalues of the Hermitian part are compared with 1/2, which is the
     stable way to count after arithmetic has smeared an idempotent.
     """
-    ranks = []
-    for b in p.blocks:
-        w = _eigvalsh(b)
-        ranks.append(int(np.count_nonzero(w >= 0.5)))
-    return tuple(ranks)
+    ranks = np.zeros(len(p.dims), dtype=int)
+    for idx, st in p._stacks_of():
+        ranks[idx] = np.add.reduce(_eigvalsh(st) >= 0.5, axis=-1)
+    return tuple(ranks.tolist())
 
 
 def tau(p: BlockOperator, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -23,7 +23,6 @@ from .model import (
     K0Class,
     Tolerances,
     VnAlgebra,
-    _max_norm,
     check_residual,
     quotient_norm,
 )
@@ -66,7 +65,7 @@ def unitary_log(u: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperato
 def _exp_defect(q: BlockOperator, u: BlockOperator) -> float:
     """Reconstruction error ||exp(2 pi i q) - u||."""
     recon = q.apply(lambda w: np.exp(2j * np.pi * w))
-    return _max_norm(x - y for x, y in zip(recon.blocks, u.blocks))
+    return (recon - u).norm()
 
 
 def cos_identity_check(

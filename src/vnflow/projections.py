@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SpectralGapError
-from .model import DEFAULT_TOL, BlockOperator, Tolerances, _eigh
+from .model import DEFAULT_TOL, BlockOperator, Tolerances, _eigenprojector, _eigh, _projector
 
 __all__ = [
     "chi",
@@ -54,13 +54,13 @@ def polar_phase(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperat
 def null_projection(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     """Orthogonal projection onto the kernel (right singular vectors below threshold)."""
     eps = tol.kernel_eps(op.norm())
-
-    def null_block(b: np.ndarray) -> np.ndarray:
-        _, s, vh = np.linalg.svd(b)
-        cols = vh[s <= eps, :].conj().T
-        return cols @ cols.conj().T
-
-    return op.map_blocks(null_block)
+    stacks = []
+    for st in op._stacks:
+        _, s, vh = np.linalg.svd(st)
+        stacks.append(
+            _projector(s <= eps, lambda rows, keep: vh[rows][..., keep, :].conj().mT)
+        )
+    return op._like(stacks)
 
 
 def range_projection(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
@@ -100,23 +100,24 @@ def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> Block
     """
     e.require_selfadjoint("nearest_projection argument", tol)
     gap_eps = 1e-12
-    snapped = []
-    for i, b in enumerate(e.blocks):
-        w, v = _eigh(b)
-        if np.any(np.abs(w - 0.5) < gap_eps):
+    eig = [(idx, *_eigh(st)) for idx, st in e._stacks_of()]
+    near = np.zeros(len(e.dims), dtype=bool)
+    defect = np.zeros(len(e.dims))
+    for idx, w, _ in eig:
+        near[idx] = np.any(np.abs(w - 0.5) < gap_eps, axis=1)
+        defect[idx] = np.max(np.abs(w * w - w), axis=1)
+    for i in range(len(e.dims)):
+        if near[i]:
             raise SpectralGapError(
                 f"no spectral gap: block {i} has an eigenvalue within "
                 f"{gap_eps:g} of 1/2"
             )
-        defect = float(np.max(np.abs(w * w - w)))
-        if defect >= 0.25:
+        if defect[i] >= 0.25:
             raise SpectralGapError(
                 f"no spectral gap: block {i} has idempotency defect "
-                f"{defect:.6g} >= 1/4"
+                f"{defect[i]:.6g} >= 1/4"
             )
-        cols = v[:, w > 0.5]
-        snapped.append(cols @ cols.conj().T)
-    return BlockOperator(snapped)
+    return e._like([_eigenprojector(v, w > 0.5) for _, w, v in eig])
 
 
 def range_basis(p: BlockOperator) -> list[np.ndarray]:
@@ -125,8 +126,9 @@ def range_basis(p: BlockOperator) -> list[np.ndarray]:
     Returns one (dim x rank) matrix with orthonormal columns per block,
     obtained from the eigenvectors with eigenvalue above 1/2.
     """
-    bases = []
-    for b in p.blocks:
-        w, v = _eigh(b)
-        bases.append(v[:, w > 0.5])
+    bases: list = [None] * len(p.dims)
+    for idx, st in p._stacks_of():
+        w, v = _eigh(st)
+        for i, wi, vi in zip(idx.tolist(), w, v):
+            bases[i] = vi[:, wi > 0.5]
     return bases

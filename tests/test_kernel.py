@@ -13,14 +13,19 @@ from hypothesis.extra.numpy import arrays
 
 from vnflow import (
     DEFAULT_TOL,
+    Block,
     BlockOperator,
     NumericsError,
+    OperatorPath,
     PreconditionError,
     Tolerances,
+    VnAlgebra,
     block_ranks,
     bounded_transform,
     chi,
+    null_projection,
     proj_intersection,
+    quotient_norm,
 )
 from vnflow.model import _spectral_norm
 
@@ -82,6 +87,119 @@ def test_lapack_failure_is_a_numerics_error():
     bad = BlockOperator([np.array([[1.0, np.nan], [np.nan, 0.0]])])
     with pytest.raises(NumericsError):
         chi(bad)
+
+
+# -- stacked storage: one LAPACK call per block dimension ------------------------
+
+
+def _herm(b: np.ndarray) -> np.ndarray:
+    return 0.5 * (b + b.conj().T)
+
+
+def _max_spectral(mats) -> float:
+    return max((float(np.linalg.norm(m, 2)) for m in mats), default=0.0)
+
+
+def _projection_onto(cols: np.ndarray) -> np.ndarray:
+    return cols @ cols.conj().T
+
+
+@st.composite
+def block_lists(draw):
+    """Complex blocks whose dimensions mix repeats, distinct sizes, 1 x 1
+    blocks and dimensions that occur once (stacks of one); some are zero."""
+    dims = draw(st.lists(st.sampled_from([1, 2, 2, 3, 3, 4]), min_size=1, max_size=7))
+    blocks = []
+    for n in dims:
+        re = draw(arrays(np.float64, (n, n), elements=_entries))
+        im = draw(arrays(np.float64, (n, n), elements=_entries))
+        blocks.append(np.zeros((n, n), complex) if draw(st.booleans()) and n > 1 else re + 1j * im)
+    return blocks
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(block_lists(), st.data())
+def test_stacked_kernel_equals_the_per_block_computation(blocks, data):
+    """Every stacked routine gives, bit for bit, what one 2-D call per block gives."""
+    a = BlockOperator(blocks)
+    others = [b.T + 1.5 for b in blocks]
+    b = BlockOperator(others)
+    ideal = data.draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    alg = VnAlgebra(Block(dim=len(m), in_ideal=i) for m, i in zip(blocks, ideal))
+    t = data.draw(st.floats(0.01, 0.99))
+    eye = [np.eye(len(m)) for m in blocks]
+
+    assert all(not v.flags.writeable for v in a.blocks)
+    assert a.dims == tuple(len(m) for m in blocks)
+    assert a.norm() == _max_spectral(blocks)
+    assert a.selfadjoint_defect() == _max_spectral(m - m.conj().T for m in blocks)
+    assert a.projection_defect() == _max_spectral(
+        [m @ m - m for m in blocks] + [m - m.conj().T for m in blocks]
+    )
+    assert a.unitary_defect() == _max_spectral(
+        x - e
+        for m, e in zip(blocks, eye)
+        for x in (m.conj().T @ m, m @ m.conj().T)
+    )
+    assert quotient_norm(a, alg) == _max_spectral(
+        m for m, i in zip(blocks, ideal) if not i
+    )
+    assert block_ranks(a) == tuple(
+        int(np.count_nonzero(np.linalg.eigvalsh(_herm(m)) >= 0.5)) for m in blocks
+    )
+
+    expected = {
+        "H": [m.conj().T for m in blocks],
+        "+": [x + y for x, y in zip(blocks, others)],
+        "-": [x - y for x, y in zip(blocks, others)],
+        "@": [x @ y for x, y in zip(blocks, others)],
+        "at": [(1.0 - t) * x + t * y for x, y in zip(blocks, others)],
+        "apply": [],
+        "cos": [],
+        "projection": [],
+        "null": [],
+    }
+    for m in blocks:
+        w, v = np.linalg.eigh(_herm(m))
+        expected["apply"].append((v * np.exp(2j * np.pi * w)) @ v.conj().T)
+        expected["cos"].append((v * np.cos(np.pi * w)) @ v.conj().T)
+        expected["projection"].append(_projection_onto(v[:, w >= 0.0]))
+        _, s, vh = np.linalg.svd(m)
+        expected["null"].append(
+            _projection_onto(vh[s <= DEFAULT_TOL.kernel_eps(a.norm()), :].conj().T)
+        )
+    got = {
+        "H": a.H,
+        "+": a + b,
+        "-": a - b,
+        "@": a @ b,
+        "at": OperatorPath.linear(a, b).at(t),
+        "apply": a.apply(lambda w: np.exp(2j * np.pi * w)),
+        "cos": a.apply(lambda w: np.cos(np.pi * w)),
+        "projection": a.spectral_projection(lambda w: w >= 0.0),
+        "null": null_projection(a),
+    }
+    for name, op in got.items():
+        assert all(np.array_equal(x, y) for x, y in zip(op.blocks, expected[name])), name
+
+
+def test_block_ranks_makes_one_lapack_call_per_block_dimension(monkeypatch):
+    rng = np.random.default_rng(7)
+    dims = [2, 3, 5] * 21 + [3]
+    p = BlockOperator([random_projection(n, int(rng.integers(0, n + 1)), rng) for n in dims])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    ranks = block_ranks(p)
+    assert len(dims) == 64 and len(calls) <= 3
+    assert ranks == tuple(
+        int(np.count_nonzero(eigvalsh(b) >= 0.5)) for b in p.blocks
+    )
 
 
 # -- the Frobenius screen and the zero shortcut ----------------------------------
@@ -154,6 +272,45 @@ def test_nan_blocks_fail_every_check(kind):
         getattr(BlockOperator(blocks), is_name)()
     with pytest.raises(NumericsError):
         getattr(BlockOperator(blocks), require)("x")
+
+
+@pytest.mark.parametrize("companion", [np.eye(2), np.eye(3)], ids=["same-dim", "other-dim"])
+@pytest.mark.parametrize("first", [True, False], ids=["infinite-first", "infinite-last"])
+@pytest.mark.parametrize("kind", sorted(_CHECKS))
+def test_infinite_entries_fail_every_check_in_either_block_order(kind, first, companion):
+    """The spectral norm of a matrix with an infinite entry is NaN, and a NaN
+    norm anywhere makes the largest one NaN, whatever the block order."""
+    bad = np.array([[1.0, np.inf], [0.0, 1.0]])
+    blocks = [bad, companion] if first else [companion, bad]
+    _, is_name, require = _CHECKS[kind]
+    assert np.isnan(BlockOperator(blocks).norm())
+    with np.errstate(invalid="ignore"):
+        try:
+            assert getattr(BlockOperator(blocks), is_name)() is False
+        except NumericsError:
+            pass
+        with pytest.raises((PreconditionError, NumericsError)):
+            getattr(BlockOperator(blocks), require)("x")
+
+
+def test_a_passing_screen_is_computed_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    p = BlockOperator([random_projection(3, 1, rng), random_projection(2, 1, rng)])
+    frobenius = []
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord is None:
+            frobenius.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    p.require_projection("p")
+    first = len(frobenius)
+    assert first > 0
+    p.require_projection("p", Tolerances(proj=1e-9))
+    assert p.is_projection(Tolerances(proj=1e-7))
+    assert len(frobenius) == first
 
 
 @pytest.mark.parametrize("excess", [1 + 1e-6, 1.5, 1.99])
@@ -307,6 +464,92 @@ def test_guard_sees_the_patterns():
     assert len(_violations(ast.parse(source), defect_compares=True)) == 9
     generators = ast.parse((SRC / "generators.py").read_text(encoding="utf-8"))
     assert _violations(generators, defect_compares=False)
+
+
+# -- no per-block kernel loops where the blocks are stacked -----------------------
+
+_KERNEL_CALLS = ("_eigh", "_eigvalsh", "_spectral_norm")
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _reads_blocks(node: ast.AST, aliases: set[str]) -> bool:
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr == "blocks")
+        or (isinstance(n, ast.Name) and n.id in aliases)
+        for n in ast.walk(node)
+    )
+
+
+def _per_block_kernel_calls(tree: ast.AST) -> list[str]:
+    """Kernel calls inside a loop or comprehension over ``.blocks``: the loop's
+    iterable, or the call's arguments, read ``.blocks`` or a name bound to it."""
+    aliases = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _reads_blocks(node.value, set())
+        for t in node.targets
+        for target in ast.walk(t)
+        if isinstance(target, ast.Name)
+    }
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, _LOOPS):
+            continue
+        if isinstance(loop, ast.For):
+            heads = [loop.iter]
+        elif isinstance(loop, ast.While):
+            heads = [loop.test]
+        else:
+            heads = [gen.iter for gen in loop.generators]
+        over_blocks = any(_reads_blocks(h, aliases) for h in heads)
+        for call in ast.walk(loop):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _KERNEL_CALLS and (
+                over_blocks or any(_reads_blocks(arg, aliases) for arg in call.args)
+            ):
+                found.add(f"line {call.lineno}: {name}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["model.py", "flow.py", "projections.py"])
+def test_no_per_block_kernel_loops(name):
+    """Blocks are stored in one stack per dimension, and the kernel takes a
+    whole stack: a loop that calls it block by block is a stacked call missed."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert _per_block_kernel_calls(tree) == []
+
+
+def test_per_block_guard_sees_the_loops_it_replaced():
+    # the six per-block kernel loops of model.py, flow.py and projections.py
+    # before the blocks were stacked, then two stacked loops it must accept
+    source = (
+        "def block_ranks(p):\n"
+        "    for b in p.blocks:\n"
+        "        w = _eigvalsh(b)\n"
+        "def check_support(what, op, blocks, bound):\n"
+        "    for i in blocks:\n"
+        "        norm = _spectral_norm(op.blocks[i])\n"
+        "def __missing__(self, t):\n"
+        "    op = self.path.at(t)\n"
+        "    w = np.concatenate([_eigvalsh(op.blocks[i]) for i in self.alg.nonideal_indices])\n"
+        "def movement(a, b):\n"
+        "    pa, pb = path.at(a).blocks, path.at(b).blocks\n"
+        "    return np.array([_spectral_norm(pb[i] - pa[i]) for i in alg.nonideal_indices])\n"
+        "def nearest_projection(e, tol):\n"
+        "    for i, b in enumerate(e.blocks):\n"
+        "        w, v = _eigh(b)\n"
+        "def range_basis(p):\n"
+        "    for b in p.blocks:\n"
+        "        w, v = _eigh(b)\n"
+        "def stacked(p, e):\n"
+        "    for idx, st in p._stacks_of():\n"
+        "        w = _eigvalsh(st)\n"
+        "    return [_eigh(st) for st in e._stacks]\n"
+    )
+    assert len(_per_block_kernel_calls(ast.parse(source))) == 6
 
 
 # -- one residual check ----------------------------------------------------------

@@ -268,6 +268,12 @@ def test_tolerances_reject_mistyped_fields(field, value):
         Tolerances(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["proj", "kernel", "gap", "intersection"])
+def test_tolerances_reject_ints_beyond_the_float_range(field):
+    with pytest.raises(ModelError, match=f"tolerance {field} must be finite"):
+        Tolerances(**{field: 10**400})
+
+
 def test_tolerances_accept_numpy_scalars():
     tol = Tolerances(proj=np.float64(1e-8), kernel=1, max_depth=np.int64(3))
     assert tol.proj_eps(1.0) == 2e-8 and tol.max_depth == 3
