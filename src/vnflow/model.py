@@ -122,16 +122,10 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 def _spectral_norm(mat: np.ndarray):
     """The spectral norm of a matrix (a float), or of each matrix of a stack
-    (an array).  An all-zero matrix gets an exact 0 without an SVD; this
-    covers the empty matrix, and a NaN is nonzero."""
+    (an array).  An all-zero matrix or stack gets exact zeros without an SVD;
+    this covers the empty matrix, and a NaN is nonzero."""
     if not mat.any():
         return 0.0 if mat.ndim == 2 else np.zeros(len(mat))
-    if mat.ndim == 3 and len(mat) > 1:
-        nonzero = mat.any(axis=(1, 2))
-        if not nonzero.all():
-            norms = np.zeros(len(mat))
-            norms[nonzero] = _spectral_norm(mat[nonzero])
-            return norms
     try:
         norms = np.linalg.norm(mat, 2, axis=(-2, -1))
     except np.linalg.LinAlgError as exc:
@@ -140,8 +134,8 @@ def _spectral_norm(mat: np.ndarray):
 
 
 def _frobenius(stack: np.ndarray):
-    """The Frobenius norm of each matrix of a stack.  The flat norm of a stack
-    of one is its matrix's, and the flat call costs less."""
+    """The Frobenius norm of each matrix of a stack; for a stack of one, the
+    flat norm, a float, which takes half the time of the stacked call."""
     return np.linalg.norm(stack) if len(stack) == 1 else np.linalg.norm(stack, axis=(-2, -1))
 
 
@@ -152,7 +146,7 @@ def _largest(values: Iterable) -> float:
     worst = 0.0
     for v in values:
         if isinstance(v, np.ndarray):
-            v = v[0] if len(v) == 1 else v.max()
+            v = v.max()
         if v != v:
             return float(v)
         worst = max(worst, v)
@@ -287,7 +281,6 @@ class VnAlgebra:
             )
 
 
-@lru_cache(maxsize=256)
 def _groups(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """The indices of the blocks of each dimension, dimensions in order of
     first appearance: the layout of an operator's stacks."""
