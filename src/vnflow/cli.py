@@ -485,8 +485,8 @@ def _run_generate(doc, args) -> dict:
 def _write_tracks(track, out_file: str) -> None:
     lines = ["t,block,index,eigenvalue"]
     for t in np.linspace(0.0, 1.0, _TRACK_SAMPLES):
-        for bi, block in enumerate(track(t).blocks):
-            w = _eigvalsh(block)
+        op = track(t)
+        for bi, w in enumerate(op._in_block_order(map(_eigvalsh, op._stacks))):
             for ei, val in enumerate(w):
                 lines.append(
                     f"{format(float(t), '.17g')},{bi},{ei},{format(float(val), '.17g')}"

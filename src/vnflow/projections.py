@@ -8,10 +8,14 @@ stable integers.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
-from .errors import SpectralGapError
-from .model import DEFAULT_TOL, BlockOperator, Tolerances, _eigenprojector, _eigh, _projector
+from .errors import NumericsError, SpectralGapError
+from .model import DEFAULT_TOL, BlockOperator, Tolerances
+from .model import _eigenprojector, _eigh, _gram, _projector
 
 __all__ = [
     "chi",
@@ -35,44 +39,44 @@ def chi(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     return op.spectral_projection(lambda w: w >= -eps_zero)
 
 
+def _from_svd(op: BlockOperator, tol: Tolerances, product: Callable, above=True) -> BlockOperator:
+    """The operator built by ``_projector`` from the SVD ``u s vh`` of each
+    stack: ``product(u, vh, rows, keep)`` for the rows that keep the same
+    singular values, those above the kernel threshold (``above``) or the rest."""
+    norm = op.norm()
+    if not math.isfinite(norm):
+        raise NumericsError(f"singular value decomposition of an operator of norm {norm}")
+    eps = tol.kernel_eps(norm)
+    stacks = []
+    for st in op._stacks:
+        try:
+            u, s, vh = np.linalg.svd(st)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"singular value decomposition failed: {exc}") from exc
+        mask = s > eps if above else s <= eps
+        stacks.append(_projector(mask, lambda rows, keep: product(u, vh, rows, keep)))
+    return op._like(stacks)
+
+
 def polar_phase(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     """The partial isometry from the polar decomposition.
 
     Built from the SVD keeping singular values above the kernel threshold.
     The zero operator yields the zero phase.
     """
-    eps = tol.kernel_eps(op.norm())
-
-    def phase_block(b: np.ndarray) -> np.ndarray:
-        u, s, vh = np.linalg.svd(b)
-        mask = s > eps
-        return u[:, mask] @ vh[mask, :]
-
-    return op.map_blocks(phase_block)
+    return _from_svd(op, tol, lambda u, vh, rows, keep: u[rows][..., keep] @ vh[rows][..., keep, :])
 
 
 def null_projection(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     """Orthogonal projection onto the kernel (right singular vectors below threshold)."""
-    eps = tol.kernel_eps(op.norm())
-    stacks = []
-    for st in op._stacks:
-        _, s, vh = np.linalg.svd(st)
-        stacks.append(
-            _projector(s <= eps, lambda rows, keep: vh[rows][..., keep, :].conj().mT)
-        )
-    return op._like(stacks)
+    return _from_svd(
+        op, tol, lambda u, vh, rows, keep: _gram(vh[rows][..., keep, :].conj().mT), False
+    )
 
 
 def range_projection(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     """Orthogonal projection onto the closure of the image."""
-    eps = tol.kernel_eps(op.norm())
-
-    def range_block(b: np.ndarray) -> np.ndarray:
-        u, s, _ = np.linalg.svd(b)
-        cols = u[:, s > eps]
-        return cols @ cols.conj().T
-
-    return op.map_blocks(range_block)
+    return _from_svd(op, tol, lambda u, vh, rows, keep: _gram(u[rows][..., keep]))
 
 
 def proj_intersection(
@@ -100,12 +104,9 @@ def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> Block
     """
     e.require_selfadjoint("nearest_projection argument", tol)
     gap_eps = 1e-12
-    eig = [(idx, *_eigh(st)) for idx, st in e._stacks_of()]
-    near = np.zeros(len(e.dims), dtype=bool)
-    defect = np.zeros(len(e.dims))
-    for idx, w, _ in eig:
-        near[idx] = np.any(np.abs(w - 0.5) < gap_eps, axis=1)
-        defect[idx] = np.max(np.abs(w * w - w), axis=1)
+    eig = [_eigh(st) for st in e._stacks]
+    near = e._in_block_order(np.any(np.abs(w - 0.5) < gap_eps, axis=1) for w, _ in eig)
+    defect = e._in_block_order(np.max(np.abs(w * w - w), axis=1) for w, _ in eig)
     for i in range(len(e.dims)):
         if near[i]:
             raise SpectralGapError(
@@ -117,7 +118,7 @@ def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> Block
                 f"no spectral gap: block {i} has idempotency defect "
                 f"{defect[i]:.6g} >= 1/4"
             )
-    return e._like([_eigenprojector(v, w > 0.5) for _, w, v in eig])
+    return e._like([_eigenprojector(v, w > 0.5) for w, v in eig])
 
 
 def range_basis(p: BlockOperator) -> list[np.ndarray]:
@@ -126,9 +127,6 @@ def range_basis(p: BlockOperator) -> list[np.ndarray]:
     Returns one (dim x rank) matrix with orthonormal columns per block,
     obtained from the eigenvectors with eigenvalue above 1/2.
     """
-    bases: list = [None] * len(p.dims)
-    for idx, st in p._stacks_of():
-        w, v = _eigh(st)
-        for i, wi, vi in zip(idx.tolist(), w, v):
-            bases[i] = vi[:, wi > 0.5]
-    return bases
+    return p._in_block_order(
+        [vi[:, wi > 0.5] for wi, vi in zip(*_eigh(st))] for st in p._stacks
+    )

@@ -33,7 +33,6 @@ from .model import (
     VnAlgebra,
     _eigh,
     _max_norm,
-    _spectral_norm,
     block_ranks,
     check_residual,
     check_support,
@@ -100,12 +99,11 @@ class VnTriple:
 
 def _resolvent_residual(a: BlockOperator, d: BlockOperator, alg: VnAlgebra) -> float:
     """Non-ideal support of a (i - D)^(-1)."""
-    residual = 0.0
-    for i in alg.nonideal_indices:
-        db = d.blocks[i]
-        res = np.linalg.solve(1j * np.eye(db.shape[0]) - db, np.eye(db.shape[0]))
-        residual = max(residual, _spectral_norm(a.blocks[i] @ res))
-    return residual
+    idx, products = alg.nonideal_indices, []
+    for (_, ds), (_, st) in zip(d._stacks_of(idx), a._stacks_of(idx)):
+        eye = np.eye(ds.shape[-1])
+        products.append(st @ np.linalg.solve(1j * eye - ds, eye))
+    return _max_norm(products)
 
 
 def make_triple(
@@ -241,7 +239,7 @@ def resolvent_integral_check(
     alg.require_conformal(a)
     alg.require_conformal(b)
 
-    eig = [_eigh(m) for m in d.blocks]
+    stacks = list(zip(map(_eigh, d._stacks), a._stacks, b._stacks, d._stacks))
 
     commutator_norm = (d @ a - a @ d).norm()
     scale = commutator_norm * b.norm()
@@ -262,10 +260,10 @@ def resolvent_integral_check(
         lam = math.tan(theta) ** 2
         weight = (2.0 / math.pi) * (1.0 + lam)
         out = []
-        for (w, v), ab, bb, db in zip(eig, a.blocks, b.blocks, d.blocks):
-            denom = 1.0 + w * w + lam
-            r = (v / denom) @ v.conj().T
-            dr = (v * (w / denom)) @ v.conj().T
+        for (w, v), ab, bb, db in stacks:
+            denom = (1.0 + w * w + lam)[..., None, :]
+            r = (v / denom) @ v.conj().mT
+            dr = (v * (w[..., None, :] / denom)) @ v.conj().mT
             # D [R, a] b = D R a b - D a R b
             out.append(weight * (dr @ ab @ bb - db @ ab @ r @ bb))
         return out
@@ -278,13 +276,13 @@ def resolvent_integral_check(
         integrand, 0.0, theta_max, fa, fm, fb, whole, eps_rate, 44, counter
     )
 
-    direct_blocks = []
-    for (w, v), ab, bb, db in zip(eig, a.blocks, b.blocks, d.blocks):
-        inv_sqrt = (v / np.sqrt(1.0 + w * w)) @ v.conj().T
-        direct_blocks.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
+    direct = []
+    for (w, v), ab, bb, db in stacks:
+        inv_sqrt = (v / np.sqrt(1.0 + w * w)[..., None, :]) @ v.conj().mT
+        direct.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
 
-    residual = _max_norm(t - dbk for t, dbk in zip(total, direct_blocks))
-    direct_norm = _max_norm(direct_blocks)
+    residual = _max_norm(t - dst for t, dst in zip(total, direct))
+    direct_norm = _max_norm(direct)
     bound = max(1000.0 * _INTEGRAL_TARGET, 1e-6 * direct_norm)
     check_residual("resolvent integral residual", residual, bound, NumericsError)
     return IntegralCheck(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,16 @@ from vnflow import (
     block_ranks,
     bounded_transform,
     chi,
+    k0_of_difference,
+    make_triple,
     null_projection,
+    polar_phase,
     proj_intersection,
     quotient_norm,
+    range_projection,
+    resolvent_integral_check,
 )
+from vnflow import cli, triples
 from vnflow.model import _spectral_norm
 
 from conftest import haar_unitary, random_matrix, random_projection, random_selfadjoint
@@ -158,6 +165,8 @@ def test_stacked_kernel_equals_the_per_block_computation(blocks, data):
         "cos": [],
         "projection": [],
         "null": [],
+        "range": [],
+        "phase": [],
     }
     for m in blocks:
         w, v = np.linalg.eigh(_herm(m))
@@ -168,6 +177,10 @@ def test_stacked_kernel_equals_the_per_block_computation(blocks, data):
         expected["null"].append(
             _projection_onto(vh[s <= DEFAULT_TOL.kernel_eps(a.norm()), :].conj().T)
         )
+        u, s, vh = np.linalg.svd(m)
+        kept = s > DEFAULT_TOL.kernel_eps(a.norm())
+        expected["range"].append(_projection_onto(u[:, kept]))
+        expected["phase"].append(u[:, kept] @ vh[kept, :])
     got = {
         "H": a.H,
         "+": a + b,
@@ -178,6 +191,8 @@ def test_stacked_kernel_equals_the_per_block_computation(blocks, data):
         "cos": a.apply(lambda w: np.cos(np.pi * w)),
         "projection": a.spectral_projection(lambda w: w >= 0.0),
         "null": null_projection(a),
+        "range": range_projection(a),
+        "phase": polar_phase(a),
     }
     for name, op in got.items():
         assert all(np.array_equal(x, y) for x, y in zip(op.blocks, expected[name])), name
@@ -200,6 +215,82 @@ def test_block_ranks_makes_one_lapack_call_per_block_dimension(monkeypatch):
     assert ranks == tuple(
         int(np.count_nonzero(eigvalsh(b) >= 0.5)) for b in p.blocks
     )
+
+
+def _integral_per_block(triple, a: BlockOperator, b: BlockOperator) -> tuple[float, float, int]:
+    """``resolvent_integral_check``'s residual, direct norm and evaluation
+    count, the integrand and the direct formula computed one block at a time."""
+    d = triple.D
+    eig = [np.linalg.eigh(_herm(m)) for m in d.blocks]
+    scale = (d @ a - a @ d).norm() * b.norm()
+    target = triples._INTEGRAL_TARGET
+    theta_max = 0.5 * math.pi - min(0.5 * target * math.pi / (5.0 * scale), 0.25 * math.pi)
+    parts = list(zip(eig, a.blocks, b.blocks, d.blocks))
+
+    def integrand(theta):
+        lam = math.tan(theta) ** 2
+        out = []
+        for (w, v), ab, bb, db in parts:
+            denom = 1.0 + w * w + lam
+            r = (v / denom) @ v.conj().T
+            dr = (v * (w / denom)) @ v.conj().T
+            out.append((2.0 / math.pi) * (1.0 + lam) * (dr @ ab @ bb - db @ ab @ r @ bb))
+        return out
+
+    counter = [3]
+    fa, fm, fb = integrand(0.0), integrand(0.5 * theta_max), integrand(theta_max)
+    whole = triples._simpson(0.0, theta_max, fa, fm, fb)
+    total = triples._adaptive_simpson(
+        integrand, 0.0, theta_max, fa, fm, fb, whole, 0.5 * target / theta_max, 44, counter
+    )
+    direct = []
+    for (w, v), ab, bb, db in parts:
+        inv_sqrt = (v / np.sqrt(1.0 + w * w)) @ v.conj().T
+        direct.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
+    residual = _max_spectral(t - x for t, x in zip(total, direct))
+    return residual, _max_spectral(direct), counter[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_resolvent_integral_equals_the_per_block_computation(seed):
+    rng = np.random.default_rng(seed)
+    dims = [2, 3, 2, 1, 3, 2][: 3 + seed]
+    alg = VnAlgebra(Block(dim=n) for n in dims)
+    gens = {
+        "1": alg.identity(),
+        "a": BlockOperator([random_matrix(n, rng) for n in dims]),
+        "b": BlockOperator([random_selfadjoint(n, rng) for n in dims]),
+    }
+    triple = make_triple(alg, gens, BlockOperator([random_selfadjoint(n, rng, 2.0) for n in dims]))
+    check = resolvent_integral_check(triple, "a", "b")
+    reference = _integral_per_block(triple, gens["a"], gens["b"])
+    assert (check.residual, check.direct_norm, check.evaluations) == reference
+
+
+def test_tracks_make_one_eigvalsh_call_per_block_dimension(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    dims = [2, 3, 2, 1, 3, 2]
+    path = OperatorPath.linear(
+        BlockOperator([random_selfadjoint(n, rng) for n in dims]),
+        BlockOperator([random_selfadjoint(n, rng) for n in dims]),
+    )
+    lines = ["t,block,index,eigenvalue"]
+    for t in np.linspace(0.0, 1.0, cli._TRACK_SAMPLES):
+        for bi, block in enumerate(path.at(t).blocks):
+            for ei, val in enumerate(np.linalg.eigvalsh(_herm(block))):
+                lines.append(f"{format(float(t), '.17g')},{bi},{ei},{format(float(val), '.17g')}")
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    out = tmp_path / "tracks.csv"
+    cli._write_tracks(path.at, str(out))
+    assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    assert len(calls) == len(set(dims)) * cli._TRACK_SAMPLES
 
 
 # -- the Frobenius screen and the zero shortcut ----------------------------------
@@ -361,6 +452,16 @@ def test_spectral_norm_of_zero_and_empty_matrices_is_exact(monkeypatch):
     assert calls == []
 
 
+def test_k0_of_difference_without_a_non_ideal_block_takes_no_svd(monkeypatch):
+    rng = np.random.default_rng(10)
+    alg = VnAlgebra([Block(dim=3), Block(dim=2)])
+    p = BlockOperator([random_projection(n, 1, rng) for n in alg.dims])
+    q = BlockOperator([random_projection(n, 2, rng) for n in alg.dims])
+    calls = _count_norm2(monkeypatch)
+    assert k0_of_difference(p, q, alg).ranks == (-1, -1)
+    assert calls == []
+
+
 def test_passing_checks_take_no_svd(monkeypatch):
     rng = np.random.default_rng(5)
     h = BlockOperator([random_selfadjoint(4, rng), random_selfadjoint(2, rng)])
@@ -514,17 +615,23 @@ def _per_block_kernel_calls(tree: ast.AST) -> list[str]:
     return sorted(found)
 
 
-@pytest.mark.parametrize("name", ["model.py", "flow.py", "projections.py"])
-def test_no_per_block_kernel_loops(name):
+# generators.py is left out for the reason given at _KERNEL_OWNERS.
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "generators.py"],
+    ids=lambda p: p.name,
+)
+def test_no_per_block_kernel_loops(path):
     """Blocks are stored in one stack per dimension, and the kernel takes a
     whole stack: a loop that calls it block by block is a stacked call missed."""
-    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _per_block_kernel_calls(tree) == []
 
 
 def test_per_block_guard_sees_the_loops_it_replaced():
     # the six per-block kernel loops of model.py, flow.py and projections.py
-    # before the blocks were stacked, then two stacked loops it must accept
+    # before the blocks were stacked, the three of triples.py and cli.py that
+    # outlived that change, then two stacked loops it must accept
     source = (
         "def block_ranks(p):\n"
         "    for b in p.blocks:\n"
@@ -544,12 +651,21 @@ def test_per_block_guard_sees_the_loops_it_replaced():
         "def range_basis(p):\n"
         "    for b in p.blocks:\n"
         "        w, v = _eigh(b)\n"
+        "def _resolvent_residual(a, d, alg):\n"
+        "    for i in alg.nonideal_indices:\n"
+        "        residual = max(residual, _spectral_norm(a.blocks[i] @ res))\n"
+        "def resolvent_integral_check(triple, a, b):\n"
+        "    eig = [_eigh(m) for m in d.blocks]\n"
+        "def _write_tracks(track, out_file):\n"
+        "    for t in np.linspace(0.0, 1.0, _TRACK_SAMPLES):\n"
+        "        for bi, block in enumerate(track(t).blocks):\n"
+        "            w = _eigvalsh(block)\n"
         "def stacked(p, e):\n"
         "    for idx, st in p._stacks_of():\n"
         "        w = _eigvalsh(st)\n"
         "    return [_eigh(st) for st in e._stacks]\n"
     )
-    assert len(_per_block_kernel_calls(ast.parse(source))) == 6
+    assert len(_per_block_kernel_calls(ast.parse(source))) == 9
 
 
 # -- one residual check ----------------------------------------------------------

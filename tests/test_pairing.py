@@ -52,9 +52,7 @@ def test_log_reconstructs_unitary_and_stays_in_unit_interval():
         q = unitary_log(u)
         w = np.linalg.eigvalsh(q.blocks[0])
         assert np.all(w >= -1e-12) and np.all(w < 1.0)
-        recon = q.map_blocks(
-            lambda b: _exp_q(b)
-        )
+        recon = BlockOperator([_exp_q(b) for b in q.blocks])
         assert recon.allclose(u, atol=1e-10)
 
 

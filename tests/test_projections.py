@@ -7,6 +7,7 @@ import pytest
 
 from vnflow import (
     BlockOperator,
+    NumericsError,
     PreconditionError,
     SpectralGapError,
     chi,
@@ -104,6 +105,21 @@ def test_null_projection_cases():
     assert null_projection(z).allclose(op(np.eye(3)), atol=1e-12)
     s = op(np.diag([1.0, 0.0, 0.0]))
     assert null_projection(s).allclose(op(np.diag([0.0, 1.0, 1.0])), atol=1e-12)
+
+
+@pytest.mark.parametrize("projection", [null_projection, range_projection, polar_phase])
+@pytest.mark.parametrize(
+    "block",
+    [[[1.0, np.inf], [0.0, 1.0]], [[1e308, 1e308], [1e308, 1e308]], [[1.0, np.nan], [0.0, 1.0]]],
+    ids=["infinite-entry", "overflowing-norm", "nan-entry"],
+)
+def test_svd_projections_reject_a_non_finite_operator(projection, block):
+    """A non-finite norm makes the kernel threshold meaningless: an infinite
+    entry gave NaN singular values, which fell on neither side of it, and an
+    overflowing norm put every singular value below it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericsError):
+            projection(BlockOperator([block, np.eye(2)]))
 
 
 def test_polar_identities_random():
