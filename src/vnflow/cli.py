@@ -438,7 +438,7 @@ def _run_checks(doc, alg, ops, tol):
     return _report("checks", None, alg, kasparov_passed=kas.passed, residuals=residuals), None
 
 
-def _run_generate(doc, args) -> dict:
+def _run_generate(doc) -> dict:
     model = doc.get("model")
     if model == "dirac":
         m = _integer(doc.get("m", 8), "m")
@@ -513,7 +513,7 @@ def run_task(doc: dict, args: argparse.Namespace) -> tuple[dict, Any]:
     task = doc.get("task")
     _expect(task in TASKS, f"unknown task {task!r} (expected one of {', '.join(TASKS)})")
     if task == "generate":
-        return _run_generate(doc, args), None
+        return _run_generate(doc), None
     alg = decode_algebra(doc.get("algebra"))
     ops = decode_operators(doc, alg)
     tol = decode_tolerances(doc, args)

@@ -23,9 +23,9 @@ from .model import (
     K0Class,
     Tolerances,
     VnAlgebra,
+    _svd,
     check_residual,
     check_support,
-    k0_of_difference,
     quotient_norm,
 )
 from .projections import null_projection, proj_intersection, range_basis
@@ -76,7 +76,7 @@ def _corner_gap(
     corner = q_basis.conj().T @ s_block @ p_basis
     if corner.size == 0:
         return 0.0
-    return float(np.linalg.svd(corner, compute_uv=False)[-1])
+    return float(_svd(corner, compute_uv=False)[-1])
 
 
 def is_corner_fredholm(
@@ -118,8 +118,9 @@ def corner_index_result(
     """The index of a corner Fredholm operator as a K-class of the ideal.
 
     The class is [kernel(S) meet range(p)] - [kernel(S*) meet range(q)]; both
-    intersections are verified to be supported in the ideal blocks.  The
-    Fredholm report that licensed the class is returned with it.
+    intersections are verified to be supported in the ideal blocks and are
+    the result's ``kernel`` and ``cokernel``.  The Fredholm report that
+    licensed the class is returned with it.
     """
     report = is_corner_fredholm(s, p, q, alg, tol)
     if not report.fredholm:
@@ -131,7 +132,7 @@ def corner_index_result(
     for what, ker in (("kernel", ker_dom), ("cokernel", ker_cod)):
         eps = tol.proj_eps(ker.norm())
         check_support(f"{what} intersection off the ideal", ker, alg.nonideal_indices, eps)
-    return CheckedClass(k0_of_difference(ker_dom, ker_cod, alg, tol), {}), report
+    return CheckedClass.of(ker_dom, ker_cod, alg, tol), report
 
 
 def corner_index(
@@ -154,12 +155,18 @@ def boundary_map_result(
     """Connecting map applied to the class of a quotient unitary.
 
     For a lift whose quotient image is unitary, the image of the connecting
-    map is [kernel projection of S] - [kernel projection of S*].  The
-    quotient unitarity is a precondition, checked against ``eps_gap``
-    (defaults to the gap tolerance); its two residuals are returned as
-    ``quotient_unitarity_left`` and ``quotient_unitarity_right``.
+    map is [N(S)] - [N(S*)], and N(S) and N(S*) are the result's ``kernel``
+    and ``cokernel``.  The quotient unitarity is a precondition, checked
+    against ``eps_gap`` (defaults to the gap tolerance); its two residuals
+    are returned as ``quotient_unitarity_left`` and ``quotient_unitarity_right``.
     """
-    return _boundary(s, alg, tol, tol.gap if eps_gap is None else eps_gap)[0]
+    alg.require_conformal(s)
+    bound = tol.gap if eps_gap is None else eps_gap
+    left, right = _quotient_unitarity(s, alg, bound, "the lift")
+    return CheckedClass.of(
+        null_projection(s, tol), null_projection(s.H, tol), alg, tol,
+        quotient_unitarity_left=left, quotient_unitarity_right=right,
+    )
 
 
 def _quotient_unitarity(s: BlockOperator, alg: VnAlgebra, bound: float, name: str):
@@ -170,22 +177,6 @@ def _quotient_unitarity(s: BlockOperator, alg: VnAlgebra, bound: float, name: st
         check_residual(f"{what} (left)", quotient_norm(s.H @ s - one, alg), bound),
         check_residual(f"{what} (right)", quotient_norm(s @ s.H - one, alg), bound),
     )
-
-
-def _boundary(s: BlockOperator, alg: VnAlgebra, tol: Tolerances, bound: float):
-    """``boundary_map_result`` with the kernel projections of S and S*."""
-    alg.require_conformal(s)
-    left, right = _quotient_unitarity(s, alg, bound, "the lift")
-    k0, ker, coker = _connecting(s, alg, tol)
-    residuals = {"quotient_unitarity_left": left, "quotient_unitarity_right": right}
-    return CheckedClass(k0, residuals), ker, coker
-
-
-def _connecting(s: BlockOperator, alg: VnAlgebra, tol: Tolerances):
-    """([N(S)] - [N(S*)], N(S), N(S*)) for a lift whose quotient unitarity
-    has been checked."""
-    ker, coker = null_projection(s, tol), null_projection(s.H, tol)
-    return k0_of_difference(ker, coker, alg, tol), ker, coker
 
 
 def boundary_map(

@@ -85,12 +85,6 @@ def dirac_circle(
     return triple, u
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def random_crossing_path(
     n: int,
     crossings: Sequence[int],

@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -92,9 +92,9 @@ DEFAULT_TOL = Tolerances()
 
 # -- the Hermitian spectral kernel ---------------------------------------------
 #
-# Every eigendecomposition and spectral norm in the package goes through the
-# functions below.  Each takes a matrix or a stack of equal-sized matrices (a
-# (k, n, n) array) and makes one LAPACK call for the whole stack; stacked
+# Every eigendecomposition, SVD and spectral norm in the package goes through
+# the functions below.  Each takes a matrix or a stack of equal-sized matrices
+# (a (k, n, n) array) and makes one LAPACK call for the whole stack; stacked
 # results are bitwise equal to the per-matrix ones.  The LAPACK entry points
 # are looked up on ``np.linalg`` at call time, and a LAPACK failure surfaces
 # as NumericsError.
@@ -118,6 +118,14 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(_herm(mat))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"Hermitian eigenvalue computation failed: {exc}") from exc
+
+
+def _svd(mat: np.ndarray, compute_uv: bool = True):
+    """The SVD ``(u, s, vh)``, or only ``s`` when ``compute_uv`` is false."""
+    try:
+        return np.linalg.svd(mat, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"singular value decomposition failed: {exc}") from exc
 
 
 def _spectral_norm(mat: np.ndarray):
@@ -587,13 +595,25 @@ class K0Class:
 @dataclass(frozen=True)
 class CheckedClass:
     """A K-class with the residuals of the quotient conditions it was derived
-    under, each the value that was compared with its tolerance."""
+    under, each the value that was compared with its tolerance.  ``kernel``
+    and ``cokernel`` are the two projections whose formal difference it is;
+    they take no part in repr or equality."""
 
     k0: K0Class
     residuals: Mapping[str, float]
+    kernel: BlockOperator = field(repr=False, compare=False)
+    cokernel: BlockOperator = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "residuals", MappingProxyType(dict(self.residuals)))
+
+    @classmethod
+    def of(
+        cls, kernel: BlockOperator, cokernel: BlockOperator, alg: VnAlgebra, tol: Tolerances,
+        **residuals: float,
+    ) -> "CheckedClass":
+        """[kernel] - [cokernel] by ``k0_of_difference``, with the residuals."""
+        return cls(k0_of_difference(kernel, cokernel, alg, tol), residuals, kernel, cokernel)
 
 
 class OperatorPath:

@@ -26,8 +26,8 @@ from .model import (
     check_residual,
     quotient_norm,
 )
-from .corner import _connecting, _quotient_unitarity, boundary_map
-from .projections import nearest_projection
+from .corner import _quotient_unitarity, boundary_map
+from .projections import nearest_projection, null_projection
 
 __all__ = [
     "PairingData",
@@ -111,14 +111,12 @@ def make_pairing_data(
     u: BlockOperator,
     q: BlockOperator | None = None,
     psi: Callable[[BlockOperator], BlockOperator] | None = None,
-    psi_test_elements: tuple[BlockOperator, ...] = (),
     tol: Tolerances = DEFAULT_TOL,
 ) -> PairingData:
     """Validate pairing inputs.
 
     q defaults to the selfadjoint logarithm of u.  A user-supplied psi must be
-    unital, adjoint-preserving and multiplicative (to 1e-10) on u, u* and the
-    supplied test elements.
+    unital, adjoint-preserving and multiplicative (to 1e-10) on u and u*.
     """
     alg.require_conformal(p)
     alg.require_conformal(u)
@@ -142,7 +140,7 @@ def make_pairing_data(
         one = alg.identity()
         if not psi_map(one).allclose(one, atol=_LOG_TOL):
             raise ModelError("psi must be unital")
-        probes = (u, u.H) + tuple(psi_test_elements)
+        probes = (u, u.H)
         for x in probes:
             if not psi_map(x.H).allclose(psi_map(x).H, atol=_LOG_TOL):
                 raise ModelError("psi must preserve adjoints on the test elements")
@@ -192,7 +190,8 @@ def pairing_result(
     nearest honest projection.  The boundary class of the intermediate
     operator is computed as well; disagreement flags a violated hypothesis,
     typically a commutator [p, psi(u)] that is not ideal-supported.  The
-    residuals are the intermediate operator's quotient unitarity and [p, psi(u)].
+    residuals are the quotient unitarity of the intermediate operator W and
+    [p, psi(u)]; ``kernel`` and ``cokernel`` are N(W) and N(W*).
     """
     alg = data.alg
     one = alg.identity()
@@ -203,19 +202,19 @@ def pairing_result(
     via_lift = boundary_map(lift, alg, tol, eps_gap=10.0 * tol.gap)
     # W's quotient unitarity is checked once, with the bound boundary_map uses
     w_op, left, right = _checked_intermediate(data, tol)
-    via_intermediate = _connecting(w_op, alg, tol)[0]
-    if via_lift != via_intermediate:
+    checked = CheckedClass.of(
+        null_projection(w_op, tol), null_projection(w_op.H, tol), alg, tol,
+        intermediate_unitarity_left=left,
+        intermediate_unitarity_right=right,
+        commutator_quotient=data.commutator,
+    )
+    if via_lift != checked.k0:
         raise ConsistencyError(
             "pairing routes disagree "
-            f"({via_lift.ranks} vs {via_intermediate.ranks}); "
+            f"({via_lift.ranks} vs {checked.k0.ranks}); "
             "check that [p, psi(u)] is ideal-supported"
         )
-    residuals = {
-        "intermediate_unitarity_left": left,
-        "intermediate_unitarity_right": right,
-        "commutator_quotient": data.commutator,
-    }
-    return CheckedClass(via_lift, residuals)
+    return checked
 
 
 def pairing_via_boundary(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericsError, SpectralGapError
 from .model import DEFAULT_TOL, BlockOperator, Tolerances
-from .model import _eigenprojector, _eigh, _gram, _projector
+from .model import _eigenprojector, _eigh, _gram, _projector, _svd
 
 __all__ = [
     "chi",
@@ -49,10 +49,7 @@ def _from_svd(op: BlockOperator, tol: Tolerances, product: Callable, above=True)
     eps = tol.kernel_eps(norm)
     stacks = []
     for st in op._stacks:
-        try:
-            u, s, vh = np.linalg.svd(st)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(f"singular value decomposition failed: {exc}") from exc
+        u, s, vh = _svd(st)
         mask = s > eps if above else s <= eps
         stacks.append(_projector(mask, lambda rows, keep: product(u, vh, rows, keep)))
     return op._like(stacks)

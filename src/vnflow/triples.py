@@ -11,7 +11,7 @@ resolvents (enforced).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -36,11 +36,10 @@ from .model import (
     block_ranks,
     check_residual,
     check_support,
-    k0_of_difference,
     quotient_norm,
 )
 from .projections import chi, proj_intersection
-from .corner import _boundary, boundary_map, corner_index
+from .corner import boundary_map, boundary_map_result, corner_index
 
 __all__ = [
     "VnTriple",
@@ -311,32 +310,25 @@ def sf_unitary_result(
     returned as ``commutator_quotient``.  Three routes are evaluated and must
     agree: the boundary class of p u p + (1 - p), the boundary class of the
     affine-shift version built from (F + 1)/2, and the corner index of p u p
-    in the p-corner.
+    in the p-corner.  The result carries the first route's kernel and
+    cokernel projections.
     """
-    return _sf_unitary(triple, _as_unitary(triple, u, tol), tol)[0]
-
-
-def _sf_unitary(
-    triple: VnTriple, u: BlockOperator, tol: Tolerances
-) -> tuple[CheckedClass, BlockOperator, BlockOperator]:
-    """``sf_unitary_result`` of a checked unitary, with the kernel and
-    cokernel projections of the lift p u p + (1 - p)."""
+    u = _as_unitary(triple, u, tol)
     alg = triple.alg
     p = triple.p
     commutator = quotient_norm(u @ p - p @ u, alg)
     check_residual("[u, p] must be ideal-supported", commutator, tol.gap)
     one = alg.identity()
-    lifted, ker, coker = _boundary(p @ u @ p + (one - p), alg, tol, 10 * tol.gap)
-    via_projection = lifted.k0
+    lifted = boundary_map_result(p @ u @ p + (one - p), alg, tol, eps_gap=10 * tol.gap)
     ph = triple.p_half
     via_affine = boundary_map(ph @ u @ ph + (one - ph), alg, tol, eps_gap=10 * tol.gap)
     via_corner = corner_index(p @ u @ p, p, p, alg, tol)
-    if not (via_projection == via_affine == via_corner):
+    if not (lifted.k0 == via_affine == via_corner):
         raise ConsistencyError(
             "boundary and corner routes disagree: "
-            f"{via_projection.ranks} / {via_affine.ranks} / {via_corner.ranks}"
+            f"{lifted.k0.ranks} / {via_affine.ranks} / {via_corner.ranks}"
         )
-    return CheckedClass(via_projection, {"commutator_quotient": commutator}), ker, coker
+    return replace(lifted, residuals={"commutator_quotient": commutator})
 
 
 def sf_unitary(
@@ -355,7 +347,8 @@ def sf_unbounded_result(
     quotient image; the drift is sampled at ``_DRIFT_SAMPLES`` equal steps and
     at every keyframe, and its largest value is returned as ``quotient_drift``.
     The class depends on the endpoints only and is the usual difference of
-    kernel intersections of the endpoint spectral projections.
+    kernel intersections of the endpoint spectral projections, carried as
+    ``kernel`` ((1 - p1) meet p0) and ``cokernel`` ((1 - p0) meet p1).
     """
     alg = triple.alg
     for t, op in a_path.keyframes:
@@ -376,7 +369,7 @@ def sf_unbounded_result(
     p0, p1 = chi(f0, tol), chi(ft, tol)
     one = alg.identity()
     leaving, entering = proj_intersection(one - p1, p0, tol), proj_intersection(one - p0, p1, tol)
-    return CheckedClass(k0_of_difference(leaving, entering, alg, tol), {"quotient_drift": worst})
+    return CheckedClass.of(leaving, entering, alg, tol, quotient_drift=worst)
 
 
 def sf_unbounded(
@@ -416,12 +409,12 @@ def pushforward_sf(
     for name, op in compact.items():
         check_support(f"{name} off the sub-ideal", op, outside, tol.gap, PreconditionError)
 
-    checked, ker, coker = _sf_unitary(triple, u, tol)
+    checked = sf_unitary_result(triple, u, tol)
     flow, eps = checked.k0, tol.proj_eps(1.0)
-    for name, op in (("kernel", ker), ("cokernel", coker)):
+    for name, op in (("kernel", checked.kernel), ("cokernel", checked.cokernel)):
         check_support(f"flow {name} off the sub-ideal", op, outside, eps, PreconditionError)
 
-    rk, rc = block_ranks(ker), block_ranks(coker)
+    rk, rc = block_ranks(checked.kernel), block_ranks(checked.cokernel)
     # the mask was checked to select ideal blocks only
     sub_class = K0Class(rk[i] - rc[i] for i in alg.ideal_indices if mask[i])
     padded = K0Class((rk[i] - rc[i]) if mask[i] else 0 for i in alg.ideal_indices)

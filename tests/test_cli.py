@@ -182,6 +182,23 @@ def test_index_task(tmp_path):
     assert report["k0_class"] == [1]
 
 
+def test_index_task_that_is_not_corner_fredholm_exits_3(tmp_path, capsys):
+    # p has rank 1 and q rank 0 on the non-ideal block
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    doc = {
+        "task": "index",
+        "algebra": encode_algebra(alg),
+        "operators": {
+            "S": encode_operator(BlockOperator([np.eye(2), np.zeros((2, 2))])),
+            "p": encode_operator(BlockOperator([np.eye(2), np.diag([1.0, 0.0])])),
+            "q": encode_operator(BlockOperator([np.eye(2), np.zeros((2, 2))])),
+        },
+        "index": {"S": "S", "p": "p", "q": "q"},
+    }
+    assert main(["run", _write(tmp_path, "idx.json", doc)]) == 3
+    assert "operator is not corner Fredholm" in capsys.readouterr().err
+
+
 def test_boundary_and_pairing_tasks(tmp_path):
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -241,6 +258,20 @@ def test_tolerance_flags_reach_the_solver(tmp_path):
     path2 = _write(tmp_path, "t2.json", doc2)
     assert main(["run", path2]) == 0
     assert main(["run", path2, "--tol-gap", "1.5"]) == 3
+    # an eigenvalue -1e-6 counts as nonnegative under a kernel tolerance of 1e-5
+    doc3 = _calibration_doc()
+    doc3["operators"]["B0"] = encode_operator(BlockOperator([np.diag([1.0, -1e-6])]))
+    path3, out = _write(tmp_path, "t3.json", doc3), tmp_path / "report.json"
+    assert main(["run", path3, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k0_class"] == [-1]
+    assert main(["run", path3, "--out", str(out), "--tol-kernel", "1e-5"]) == 0
+    assert json.loads(out.read_text())["k0_class"] == [0]
+    assert main(["run", path3, "--tol-kernel", "-1"]) == 2
+    # the mixed path's partition needs two bisection levels
+    path4 = _write(tmp_path, "t4.json", _mixed_doc())
+    assert main(["run", path4, "--max-depth", "2"]) == 0
+    assert main(["run", path4, "--max-depth", "1"]) == 3
+    assert main(["run", path4, "--max-depth", "0"]) == 2
 
 
 def test_overflowing_and_nonfinite_entries_exit_2(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,16 @@ from hypothesis import strategies as st
 from vnflow import (
     BlockOperator,
     PreconditionError,
+    block_ranks,
     boundary_map,
     boundary_map_result,
     corner_index,
     corner_index_result,
     is_corner_fredholm,
+    k0_of_difference,
+    null_projection,
     polar_phase,
+    proj_intersection,
     quotient_norm,
     weighted_model,
 )
@@ -26,6 +32,10 @@ from conftest import haar_unitary, op, random_matrix, random_projection, single_
 def _svd_kernel_rank(mat: np.ndarray, eps: float = 1e-10) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     return int(np.count_nonzero(s <= eps))
+
+
+def _same(a: BlockOperator, b: BlockOperator) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks, strict=True))
 
 
 # -- Fredholm detection -------------------------------------------------------
@@ -304,3 +314,60 @@ def test_corner_index_result_returns_its_fredholm_report():
     assert dict(result.residuals) == {}
     assert report == is_corner_fredholm(s, p, q, alg)
     assert report.min_gap == pytest.approx(0.5)
+
+
+def test_corner_index_result_carries_the_kernel_intersections():
+    alg = weighted_model([4, 2], [1.0, 1.0], [True, False])
+    p = BlockOperator([np.diag([1.0, 1.0, 1.0, 0.0]), np.eye(2)])
+    q = BlockOperator([np.diag([0.0, 1.0, 1.0, 0.0]), np.eye(2)])
+    s = q @ BlockOperator([np.diag([1.0, 1.0, 1.0], -1), np.diag([2.0, 0.5])]) @ p
+    result, _ = corner_index_result(s, p, q, alg)
+    assert _same(result.kernel, proj_intersection(null_projection(s), p))
+    assert _same(result.cokernel, proj_intersection(null_projection(s.H), q))
+    assert (block_ranks(result.kernel), block_ranks(result.cokernel)) == ((1, 0), (0, 0))
+    assert result.k0.ranks == (1,)
+
+
+def test_boundary_map_result_carries_the_kernels_it_differences():
+    # the truncated shift has kernel e3 and cokernel e1 on the ideal block
+    alg = weighted_model([3, 2], [1.0, 1.0], [True, False])
+    shift = np.diag([1.0, 1.0], -1)
+    s = BlockOperator([shift, np.eye(2)])
+    result = boundary_map_result(s, alg)
+    assert _same(result.kernel, null_projection(s))
+    assert _same(result.cokernel, null_projection(s.H))
+    assert result.kernel.allclose(BlockOperator([np.diag([0.0, 0.0, 1.0]), np.zeros((2, 2))]))
+    assert result.cokernel.allclose(BlockOperator([np.diag([1.0, 0.0, 0.0]), np.zeros((2, 2))]))
+    assert result.k0 == k0_of_difference(result.kernel, result.cokernel, alg)
+    assert result.k0 == boundary_map(s, alg)
+    # the projections take no part in repr or equality
+    assert replace(result, kernel=alg.identity()) == result
+    assert "kernel" not in repr(result)
+
+
+def test_empty_nonideal_corner_is_fredholm_with_infinite_gap():
+    # p and q vanish on the non-ideal block: the corner there is 0 x 0
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    p = BlockOperator([np.eye(2), np.zeros((2, 2))])
+    q = BlockOperator([np.diag([1.0, 0.0]), np.zeros((2, 2))])
+    s = BlockOperator([np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))])
+    report = is_corner_fredholm(s, p, q, alg)
+    assert report.fredholm
+    assert report.min_gap == np.inf
+    assert [(r.block, r.domain_rank, r.codomain_rank) for r in report.blocks] == [(1, 0, 0)]
+    assert corner_index(s, p, q, alg).ranks == (1,)
+
+
+def test_rank_mismatched_empty_corner_is_not_fredholm():
+    # p has rank 1 and q rank 0 on the non-ideal block: the corner is 0 x 1
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    p = BlockOperator([np.eye(2), np.diag([1.0, 0.0])])
+    q = BlockOperator([np.eye(2), np.zeros((2, 2))])
+    s = BlockOperator([np.eye(2), np.zeros((2, 2))])
+    report = is_corner_fredholm(s, p, q, alg)
+    assert not report.fredholm
+    assert report.min_gap == 0.0
+    block = report.blocks[0]
+    assert (block.domain_rank, block.codomain_rank, block.invertible) == (1, 0, False)
+    with pytest.raises(PreconditionError, match="operator is not corner Fredholm"):
+        corner_index(s, p, q, alg)

@@ -102,6 +102,22 @@ def test_certify_rejects_non_selfadjoint_keyframes():
         certify_path(OperatorPath.linear(bad, bad), alg)
 
 
+def test_certify_bisects_a_segment_whose_endpoint_gaps_are_too_small():
+    # the endpoint gaps (0.1 each) cannot cover the quotient movement 2.9, so
+    # the segment is split once at t = 1/2, where the gap is 1.55
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    path = OperatorPath.linear(
+        BlockOperator([np.diag([1.0, -1.0]), np.diag([3.0, -0.1])]),
+        BlockOperator([np.diag([-1.0, -1.0]), np.diag([0.1, -3.0])]),
+    )
+    cert = certify_path(path, alg)
+    assert cert.samples == (0.0, 0.5, 1.0)
+    assert cert.min_gap == pytest.approx(0.1)
+    assert [(a, b) for a, b, _ in cert.segments] == [(0.0, 0.5), (0.5, 1.0)]
+    result = spectral_flow_result(path, alg)
+    assert result.k0.ranks == endpoint_rank_oracle(path, alg) == (1,)
+
+
 def test_certify_survives_rotating_invertible_quotient():
     rng = np.random.default_rng(1)
     alg = single_block_alg(3, ideal=False)

@@ -502,7 +502,7 @@ def _violations(tree: ast.AST, defect_compares: bool) -> list[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             attr = node.func.attr
-            if attr in ("eigh", "eigvalsh"):
+            if attr in ("eigh", "eigvalsh", "svd"):
                 found.append(f"line {node.lineno}: {attr}")
             ord_arg = node.args[1] if len(node.args) > 1 else None
             ord_kw = [k.value for k in node.keywords if k.arg == "ord"]
@@ -545,7 +545,7 @@ _KERNEL_OWNERS = ("model.py", "generators.py")
     ids=lambda p: p.name,
 )
 def test_spectral_kernel_stays_in_model(path):
-    """Eigendecompositions, matrix norms (spectral and Frobenius), the
+    """Eigendecompositions, SVDs, matrix norms (spectral and Frobenius), the
     Hermitian part and defect thresholds live in model.py."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _violations(tree, defect_compares=True) == []
@@ -561,10 +561,26 @@ def test_guard_sees_the_patterns():
         "g = scipy.linalg.norm(x, 'fro') + linalg.norm(x)\n"
         "from numpy.linalg import norm\n"
         "n = op.norm() + np.abs(x).max()\n"
+        "s = np.linalg.svd(m, compute_uv=False)\n"
     )
-    assert len(_violations(ast.parse(source), defect_compares=True)) == 9
+    assert len(_violations(ast.parse(source), defect_compares=True)) == 10
     generators = ast.parse((SRC / "generators.py").read_text(encoding="utf-8"))
     assert _violations(generators, defect_compares=False)
+
+
+def test_class_results_are_built_by_checked_class_of():
+    """No module builds a CheckedClass directly: each comes from
+    ``CheckedClass.of``, which differences the pair it carries."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        direct = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "CheckedClass"
+        ]
+        assert direct == [], path.name
 
 
 # -- no per-block kernel loops where the blocks are stacked -----------------------

@@ -16,6 +16,7 @@ from vnflow import (
     dirac_circle,
     intermediate_operator,
     make_pairing_data,
+    null_projection,
     pairing_result,
     pairing_via_boundary,
     quotient_norm,
@@ -271,6 +272,19 @@ def test_pairing_result_carries_the_checked_residuals():
     one = alg.identity()
     left = quotient_norm(w_op.H @ w_op - one, alg)
     assert result.residuals["intermediate_unitarity_left"] == left
+
+
+def test_pairing_result_carries_the_kernels_of_the_intermediate_operator():
+    rng = np.random.default_rng(31)
+    alg = weighted_model([3, 2], [1.0, 1.0], [True, False])
+    p = BlockOperator([random_projection(3, 2, rng), np.diag([1.0, 0.0])])
+    u = BlockOperator([haar_unitary(3, rng), np.eye(2)])
+    data = make_pairing_data(alg, p, u)
+    result = pairing_result(data)
+    w_op = intermediate_operator(data)
+    pairs = ((result.kernel, null_projection(w_op)), (result.cokernel, null_projection(w_op.H)))
+    for mine, ref in pairs:
+        assert all(np.array_equal(a, b) for a, b in zip(mine.blocks, ref.blocks, strict=True))
 
 
 def test_pairing_result_checks_each_unitarity_residual_once(monkeypatch):

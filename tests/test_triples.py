@@ -11,9 +11,12 @@ from vnflow import (
     OperatorPath,
     PreconditionError,
     Tolerances,
+    block_ranks,
+    boundary_map_result,
     bounded_transform,
     check_kasparov_module,
     dirac_circle,
+    k0_of_difference,
     make_triple,
     pushforward_sf,
     quotient_norm,
@@ -451,6 +454,27 @@ def test_sf_unitary_result_carries_the_commutator():
     result = sf_unitary_result(triple, u)
     assert result.k0 == sf_unitary(triple, u)
     assert dict(result.residuals) == {"commutator_quotient": 0.0}
+
+
+def test_sf_unitary_result_carries_the_kernels_of_its_lift():
+    triple, u = dirac_circle(4, 2)
+    result = sf_unitary_result(triple, u)
+    p, one = triple.p, triple.alg.identity()
+    lifted = boundary_map_result(p @ u @ p + (one - p), triple.alg, eps_gap=1e-7)
+    for mine, lift in ((result.kernel, lifted.kernel), (result.cokernel, lifted.cokernel)):
+        assert all(np.array_equal(a, b) for a, b in zip(mine.blocks, lift.blocks, strict=True))
+    # on the finite window the shift by 2 loses two vectors at either end
+    assert (block_ranks(result.kernel), block_ranks(result.cokernel)) == ((2,), (2,))
+    assert result.k0.is_zero
+
+
+def test_sf_unbounded_result_carries_the_endpoint_intersections():
+    triple, u = dirac_circle(4, 1)
+    path = OperatorPath.linear(triple.alg.zero(), u.H @ triple.D @ u - triple.D)
+    result = sf_unbounded_result(triple, path)
+    assert result.kernel.is_projection() and result.cokernel.is_projection()
+    assert k0_of_difference(result.kernel, result.cokernel, triple.alg) == result.k0
+    assert (block_ranks(result.kernel), block_ranks(result.cokernel)) == ((1,), (1,))
 
 
 def test_sf_unbounded_result_reports_the_drift_at_keyframes():
