@@ -23,6 +23,7 @@ from .model import (
     K0Class,
     Tolerances,
     VnAlgebra,
+    _norm_eps,
     _svd,
     check_residual,
     check_support,
@@ -94,7 +95,8 @@ def is_corner_fredholm(
     """
     alg.require_conformal(s)
     defect = (s - q @ s @ p).norm()
-    check_residual("corner operator S must equal qSp", defect, tol.proj_eps(s.norm()))
+    bound = _norm_eps(tol.proj_eps, tol.proj, (s,), defect, report=True)
+    check_residual("corner operator S must equal qSp", defect, bound)
     p_bases, q_bases = range_basis(p), range_basis(q)
     reports = tuple(
         CornerBlockReport(
@@ -130,8 +132,10 @@ def corner_index_result(
     ker_dom = proj_intersection(null_projection(s, tol), p, tol)
     ker_cod = proj_intersection(null_projection(s.H, tol), q, tol)
     for what, ker in (("kernel", ker_dom), ("cokernel", ker_cod)):
-        eps = tol.proj_eps(ker.norm())
-        check_support(f"{what} intersection off the ideal", ker, alg.nonideal_indices, eps)
+        check_support(
+            f"{what} intersection off the ideal", ker, alg.nonideal_indices,
+            lambda norms: _norm_eps(tol.proj_eps, tol.proj, (ker,), norms, report=True),
+        )
     return CheckedClass.of(ker_dom, ker_cod, alg, tol), report
 
 

@@ -25,6 +25,7 @@ from .model import (
     Tolerances,
     VnAlgebra,
     _eigvalsh,
+    _norm_eps,
     k0_of_difference,
     tau_star,
 )
@@ -135,7 +136,9 @@ def certify_path(
 
     spectra = _Spectra(path, alg)
     segments: list[tuple[float, float, np.ndarray]] = []
-    floor = max(tol.gap, tol.kernel_eps(max(op.norm() for _, op in path.keyframes)))
+    floor = _norm_eps(
+        lambda n: max(tol.gap, tol.kernel_eps(n)), tol.gap, (op for _, op in path.keyframes)
+    )
 
     def gap_at(t: float) -> float:
         g = spectra[t][0]

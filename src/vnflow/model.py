@@ -216,16 +216,60 @@ def check_residual(
 
 
 def check_support(
-    what: str, op: "BlockOperator", blocks: Iterable[int], bound: float, error=NotInIdealError
+    what: str,
+    op: "BlockOperator",
+    blocks: Iterable[int],
+    bound: float | Callable[[np.ndarray], float],
+    error=NotInIdealError,
 ) -> float:
     """Check that ``op`` vanishes on ``blocks``, reading only those: each block
-    norm is a residual, checked in the order of ``blocks``.  Returns the
-    largest (0 for no blocks)."""
+    norm is a residual, checked in the order of ``blocks``.  ``bound`` is a
+    number or a function of the array of block norms giving it.  Returns the
+    largest norm (0 for no blocks)."""
     blocks = tuple(blocks)
+    norms = op._block_norms(blocks)
+    if callable(bound):
+        bound = bound(norms)
     worst = 0.0
-    for i, norm in zip(blocks, op._block_norms(blocks).tolist()):
+    for i, norm in zip(blocks, norms.tolist()):
         worst = max(worst, check_residual(what, norm, bound, error, block=i))
     return worst
+
+
+def _norm_eps(
+    eps: Callable[[float], float],
+    floor: float,
+    ops: Iterable["BlockOperator"],
+    values=None,
+    report: bool = False,
+) -> float:
+    """The norm-relative threshold ``eps(N)``, N the largest norm of ``ops``,
+    computing N only where a comparison ``value <= threshold`` needs it.
+
+    Every ``eps(n)`` is at least ``floor``, and ``eps`` does not decrease, so
+    ``eps(N)`` is at most the ceiling ``eps(2 U)`` for U the largest
+    ``_norm_bound()``: twice it covers rounding in both norms, and a Frobenius
+    norm that underflows belongs to a norm so far below 1 that no threshold
+    depends on it.  When the ceiling is at most the floor, ``eps(N)`` is the
+    floor.  Otherwise a value of ``values`` at most the floor passes, and one
+    above the ceiling fails, against ``floor`` as against ``eps(N)``; so when
+    no value lies between the two, ``floor`` takes the same decisions and is
+    returned in its place.  With ``report``, a failing value is reported with
+    the threshold, so only values at most the floor settle without N.
+    Without ``values``, or with a bound that is not finite, the result is
+    ``eps(N)``.
+    """
+    ops = tuple(ops)
+    bound = _largest(op._norm_bound() for op in ops)
+    if math.isfinite(bound):
+        ceiling = eps(2.0 * bound)
+        if ceiling <= floor:
+            return floor
+        if values is not None:
+            v = np.asarray(values)
+            if not np.any((v > floor) & (v <= (math.inf if report else ceiling))):
+                return floor
+    return eps(max(op.norm() for op in ops))
 
 
 @dataclass(frozen=True)
@@ -420,6 +464,16 @@ class BlockOperator:
             self._cache["norm"] = _max_norm(self._stacks)
         return self._cache["norm"]
 
+    def _norm_bound(self) -> float:
+        """An upper bound on ``norm()``: the norm once it is computed, else the
+        largest Frobenius norm of a block (cached)."""
+        cache = self._cache
+        if "norm" in cache:
+            return cache["norm"]
+        if "fro" not in cache:
+            cache["fro"] = _largest(map(_frobenius, self._stacks))
+        return cache["fro"]
+
     def _block_norms(self, blocks: tuple[int, ...]) -> np.ndarray:
         """The spectral norms of ``blocks``, in that order."""
         norms = np.empty(len(blocks))
@@ -469,7 +523,8 @@ class BlockOperator:
     ) -> tuple[float, float] | None:
         """``None`` when a Frobenius screen proves the ``kind`` check passes, else
         the spectral defect and its bound (``eps`` if given, else
-        ``tol.proj_eps(norm)``).  The screen asks for a largest Frobenius norm
+        ``tol.proj_eps(norm)``, the norm taken only for a defect above
+        ``tol.proj``).  The screen asks for a largest Frobenius norm
         (>= spectral) over the defect matrices of at most half the smallest
         bound, ``tol.proj`` or ``eps``; the half covers rounding in both norms.
         That largest norm is cached, so a later check with another bound reuses
@@ -486,7 +541,9 @@ class BlockOperator:
                 if cache["fro", kind] <= 0.5 * floor:
                     return None
             cache[kind] = _max_norm(self._defect_matrices(kind) if mats is None else mats)
-        return cache[kind], tol.proj_eps(self.norm()) if eps is None else eps
+        if eps is None:
+            eps = _norm_eps(tol.proj_eps, tol.proj, (self,), cache[kind], report=True)
+        return cache[kind], eps
 
     def _passes(self, kind: str, tol: Tolerances) -> bool:
         check = self._check(kind, tol)
@@ -755,7 +812,7 @@ def k0_of_difference(
             "p - q must vanish off the ideal",
             p - q,
             alg.nonideal_indices,
-            tol.proj_eps(max(p.norm(), q.norm())),
+            lambda norms: _norm_eps(tol.proj_eps, tol.proj, (p, q), norms, report=True),
         )
     rp = block_ranks(p)
     rq = block_ranks(q)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericsError, SpectralGapError
 from .model import DEFAULT_TOL, BlockOperator, Tolerances
-from .model import _eigenprojector, _eigh, _gram, _projector, _svd
+from .model import _eigenprojector, _eigh, _gram, _norm_eps, _projector, _svd
 
 __all__ = [
     "chi",
@@ -35,21 +35,22 @@ def chi(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     (integer models) land in the positive side deterministically.
     """
     op.require_selfadjoint("chi argument", tol)
-    eps_zero = tol.kernel_eps(op.norm())
-    return op.spectral_projection(lambda w: w >= -eps_zero)
+    return op.spectral_projection(
+        lambda w: w >= -_norm_eps(tol.kernel_eps, tol.kernel, (op,), -w)
+    )
 
 
 def _from_svd(op: BlockOperator, tol: Tolerances, product: Callable, above=True) -> BlockOperator:
     """The operator built by ``_projector`` from the SVD ``u s vh`` of each
     stack: ``product(u, vh, rows, keep)`` for the rows that keep the same
-    singular values, those above the kernel threshold (``above``) or the rest."""
-    norm = op.norm()
-    if not math.isfinite(norm):
-        raise NumericsError(f"singular value decomposition of an operator of norm {norm}")
-    eps = tol.kernel_eps(norm)
+    singular values, those above the kernel threshold (``above``) or the rest.
+    An operator whose norm is not finite raises NumericsError."""
+    if not math.isfinite(op._norm_bound()) and not math.isfinite(op.norm()):
+        raise NumericsError(f"singular value decomposition of an operator of norm {op.norm()}")
     stacks = []
     for st in op._stacks:
         u, s, vh = _svd(st)
+        eps = _norm_eps(tol.kernel_eps, tol.kernel, (op,), s)
         mask = s > eps if above else s <= eps
         stacks.append(_projector(mask, lambda rows, keep: product(u, vh, rows, keep)))
     return op._like(stacks)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -33,6 +34,7 @@ from .model import (
     VnAlgebra,
     _eigh,
     _max_norm,
+    _norm_eps,
     block_ranks,
     check_residual,
     check_support,
@@ -89,6 +91,11 @@ class VnTriple:
     commutator_norms: Mapping[str, float]
     resolvent_residuals: Mapping[str, float]
 
+    @cached_property
+    def _d_eigh(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The eigendecomposition of each stack of ``D``, taken on first use."""
+        return [_eigh(st) for st in self.D._stacks]
+
     def generator(self, name: str) -> BlockOperator:
         try:
             return self.generators[name]
@@ -131,7 +138,8 @@ def make_triple(
     for name, a in generators.items():
         alg.require_conformal(a)
         commutators[name] = (d @ a - a @ d).norm()
-        res, eps = _resolvent_residual(a, d, alg), tol.proj_eps(a.norm())
+        res = _resolvent_residual(a, d, alg)
+        eps = _norm_eps(tol.proj_eps, tol.proj, (a,), res, report=True)
         residuals[name] = check_residual(f"a (i - D)^(-1) off the ideal, a = {name!r}", res, eps)
 
     f = bounded_transform(d, tol)
@@ -227,10 +235,13 @@ def resolvent_integral_check(
     adaptive Simpson quadrature.  The tail beyond the truncation point is
     certified with the resolvent estimates ||R|| <= 1/(1 + lambda) and
     ||D R|| <= 1/(2 sqrt(1 + lambda)).  Returns the norm of the difference
-    against the direct eigendecomposition formula.
+    against the direct eigendecomposition formula.  For a generator ``a``
+    given by name, ||[D, a]|| is the one the triple recorded, and D is
+    eigendecomposed once per triple.
     """
-    if isinstance(a, str):
-        a = triple.generator(a)
+    name = a if isinstance(a, str) else None
+    if name is not None:
+        a = triple.generator(name)
     if isinstance(b, str):
         b = triple.generator(b)
     d = triple.D
@@ -238,9 +249,12 @@ def resolvent_integral_check(
     alg.require_conformal(a)
     alg.require_conformal(b)
 
-    stacks = list(zip(map(_eigh, d._stacks), a._stacks, b._stacks, d._stacks))
+    stacks = list(zip(triple._d_eigh, a._stacks, b._stacks, d._stacks))
 
-    commutator_norm = (d @ a - a @ d).norm()
+    if name is None:
+        commutator_norm = (d @ a - a @ d).norm()
+    else:
+        commutator_norm = triple.commutator_norms[name]
     scale = commutator_norm * b.norm()
     # The integrand decays like (5/4) scale / (lambda^(1/2) (1 + lambda)); the
     # tail from Lambda on is below (5 scale / (2 pi)) * 2 arctan(Lambda^(-1/2)),

@@ -585,7 +585,7 @@ def test_class_results_are_built_by_checked_class_of():
 
 # -- no per-block kernel loops where the blocks are stacked -----------------------
 
-_KERNEL_CALLS = ("_eigh", "_eigvalsh", "_spectral_norm")
+_KERNEL_CALLS = ("_eigh", "_eigvalsh", "_spectral_norm", "_svd")
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -647,7 +647,8 @@ def test_no_per_block_kernel_loops(path):
 def test_per_block_guard_sees_the_loops_it_replaced():
     # the six per-block kernel loops of model.py, flow.py and projections.py
     # before the blocks were stacked, the three of triples.py and cli.py that
-    # outlived that change, then two stacked loops it must accept
+    # outlived that change, a per-block SVD, then two stacked loops it must
+    # accept
     source = (
         "def block_ranks(p):\n"
         "    for b in p.blocks:\n"
@@ -676,12 +677,14 @@ def test_per_block_guard_sees_the_loops_it_replaced():
         "    for t in np.linspace(0.0, 1.0, _TRACK_SAMPLES):\n"
         "        for bi, block in enumerate(track(t).blocks):\n"
         "            w = _eigvalsh(block)\n"
+        "def polar_phase(op, tol):\n"
+        "    svds = [_svd(b) for b in op.blocks]\n"
         "def stacked(p, e):\n"
         "    for idx, st in p._stacks_of():\n"
         "        w = _eigvalsh(st)\n"
         "    return [_eigh(st) for st in e._stacks]\n"
     )
-    assert len(_per_block_kernel_calls(ast.parse(source))) == 9
+    assert len(_per_block_kernel_calls(ast.parse(source))) == 10
 
 
 # -- one residual check ----------------------------------------------------------
