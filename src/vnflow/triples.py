@@ -33,6 +33,8 @@ from .model import (
     Tolerances,
     VnAlgebra,
     _eigh,
+    _frobenius,
+    _largest,
     _max_norm,
     _norm_eps,
     block_ranks,
@@ -59,6 +61,7 @@ __all__ = [
 ]
 
 _INTEGRAL_TARGET = 1e-8  # error budget of the resolvent-integral quadrature
+_LEVEL_VALUES = 2**20  # integrand values one level of that quadrature may evaluate
 _DRIFT_SAMPLES = 9  # equally spaced drift samples of sf_unbounded, besides the keyframes
 
 
@@ -203,23 +206,35 @@ class IntegralCheck:
     evaluations: int
 
 
-def _simpson(a: float, b: float, fa, fm, fb) -> list[np.ndarray]:
-    h = (b - a) / 6.0
-    return [h * (x + 4.0 * y + z) for x, y, z in zip(fa, fm, fb)]
+def _adaptive_simpson(f, end: float, eps_rate: float) -> tuple[np.ndarray, int]:
+    """Adaptive Simpson over [0, end] of ``f``, mapping m nodes to an (m, K) array.
 
+    Level-synchronous, one call of ``f`` per level, with the recursive accept
+    rule per interval: max |left + right - whole| <= 15 eps_rate (hi - lo), or
+    depth 44.  Returns the K integrals and the number of nodes.
+    """
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, eps_rate, depth, counter):
-    mid = 0.5 * (a + b)
-    flm, frm = f(0.5 * (a + mid)), f(0.5 * (mid + b))
-    counter[0] += 2
-    left = _simpson(a, mid, fa, flm, fm)
-    right = _simpson(mid, b, fm, frm, fb)
-    err = [l + r - w for l, r, w in zip(left, right, whole)]
-    if depth <= 0 or _max_norm(err) <= 15.0 * eps_rate * (b - a):
-        return [l + r + e / 15.0 for l, r, e in zip(left, right, err)]
-    sub_left = _adaptive_simpson(f, a, mid, fa, flm, fm, left, eps_rate, depth - 1, counter)
-    sub_right = _adaptive_simpson(f, mid, b, fm, frm, fb, right, eps_rate, depth - 1, counter)
-    return [x + y for x, y in zip(sub_left, sub_right)]
+    def simpson(x, fx):  # nodes (m, 3), values (m, 3, K)
+        return ((x[:, 2] - x[:, 0]) / 6.0)[:, None] * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
+
+    x = np.array([[0.0, 0.25 * end, 0.5 * end, 0.75 * end, end]])  # lo, ., mid, ., hi
+    fx = f(x[0])[None]
+    whole, total, nodes = simpson(x[:, ::2], fx[:, ::2]), 0.0, 5
+    for depth in range(44, -1, -1):
+        left, right = simpson(x[:, :3], fx[:, :3]), simpson(x[:, 2:], fx[:, 2:])
+        err = left + right - whole
+        done = (np.abs(err).max(axis=1) <= 15.0 * eps_rate * (x[:, 4] - x[:, 0])) | (depth == 0)
+        total = total + (left + right + err / 15.0)[done].sum(axis=0)
+        if done.all():
+            return total, nodes
+        keep = ~done  # the halves of the open intervals, their known nodes at 0, 2, 4
+        whole = np.concatenate([left[keep], right[keep]])
+        check_residual("quadrature level values", 2 * whole.size, _LEVEL_VALUES, NumericsError)
+        x3, f3 = (np.concatenate([z[keep, :3], z[keep, 2:]]) for z in (x, fx))
+        x, fx = np.empty((len(x3), 5)), np.empty((len(x3), 5, whole.shape[1]))
+        x[:, ::2], x[:, 1::2] = x3, 0.5 * (x3[:, :2] + x3[:, 1:])
+        fx[:, ::2], fx[:, 1::2] = f3, f(x[:, 1::2].ravel()).reshape(len(x3), 2, -1)
+        nodes += 2 * len(x3)
 
 
 def resolvent_integral_check(
@@ -230,31 +245,25 @@ def resolvent_integral_check(
 ) -> IntegralCheck:
     """Evaluate D [(1 + D^2)^(-1/2), a] b through its resolvent integral.
 
-    The integral over the spectral parameter is transformed with
-    lambda = tan(theta)^2, which bounds the integrand, and evaluated by
-    adaptive Simpson quadrature.  The tail beyond the truncation point is
-    certified with the resolvent estimates ||R|| <= 1/(1 + lambda) and
-    ||D R|| <= 1/(2 sqrt(1 + lambda)).  Returns the norm of the difference
-    against the direct eigendecomposition formula.  For a generator ``a``
-    given by name, ||[D, a]|| is the one the triple recorded, and D is
-    eigendecomposed once per triple.
+    lambda = tan(theta)^2 bounds the integrand; the tail beyond the truncation
+    point is certified with ||R|| <= 1/(1 + lambda), ||D R|| <= 1/(2 sqrt(1 + lambda)).
+    With D = V diag(w) V*, a' = V* a V and r_k = 1/(1 + w_k^2 + lambda), the
+    integrand is V [w_i (r_i - r_j) a'_ij] V* b, so adaptive Simpson (not the
+    closed form, which would make the check circular) integrates the scalars
+    (2/pi)(1 + lambda) r_k once per distinct w_k^2.  Their error e moves the
+    result by at most 2 max|e| ||b|| ||C||_F <= 2 max|w| ||a||_F ||b|| max|e|,
+    C_ij = w_i a'_ij where w_i^2 != w_j^2, else 0 (equal squares share an
+    integral), and the budget is divided by that factor.  ``evaluations``
+    counts nodes.  Returns the norm of the difference from the direct formula;
+    a generator ``a`` given by name uses the recorded ||[D, a]||.
     """
     name = a if isinstance(a, str) else None
-    if name is not None:
-        a = triple.generator(name)
-    if isinstance(b, str):
-        b = triple.generator(b)
-    d = triple.D
-    alg = triple.alg
+    a, b = (triple.generator(x) if isinstance(x, str) else x for x in (a, b))
+    d, alg = triple.D, triple.alg
     alg.require_conformal(a)
     alg.require_conformal(b)
 
-    stacks = list(zip(triple._d_eigh, a._stacks, b._stacks, d._stacks))
-
-    if name is None:
-        commutator_norm = (d @ a - a @ d).norm()
-    else:
-        commutator_norm = triple.commutator_norms[name]
+    commutator_norm = (d @ a - a @ d).norm() if name is None else triple.commutator_norms[name]
     scale = commutator_norm * b.norm()
     # The integrand decays like (5/4) scale / (lambda^(1/2) (1 + lambda)); the
     # tail from Lambda on is below (5 scale / (2 pi)) * 2 arctan(Lambda^(-1/2)),
@@ -268,43 +277,34 @@ def resolvent_integral_check(
         truncation = (5.0 * scale / math.pi) * tail_angle
     lambda_max = math.tan(theta_max) ** 2
 
-    def integrand(theta: float) -> list[np.ndarray]:
-        # lambda = tan(theta)^2 turns lambda^(-1/2) dlambda into 2 sec(theta)^2 dtheta
-        lam = math.tan(theta) ** 2
-        weight = (2.0 / math.pi) * (1.0 + lam)
-        out = []
-        for (w, v), ab, bb, db in stacks:
-            denom = (1.0 + w * w + lam)[..., None, :]
-            r = (v / denom) @ v.conj().mT
-            dr = (v * (w[..., None, :] / denom)) @ v.conj().mT
-            # D [R, a] b = D R a b - D a R b
-            out.append(weight * (dr @ ab @ bb - db @ ab @ r @ bb))
-        return out
+    eig = triple._d_eigh
+    squares = np.unique(np.concatenate([(w * w).ravel() for w, _ in eig]))
+    idx = [np.searchsorted(squares, w * w) for w, _ in eig]  # w_k^2 = squares[idx[k]]
+    primes = [v.conj().mT @ ab @ v for (_, v), ab in zip(eig, a._stacks)]  # a' = V* a V
 
-    counter = [3]
-    fa, fm, fb = integrand(0.0), integrand(0.5 * theta_max), integrand(theta_max)
-    whole = _simpson(0.0, theta_max, fa, fm, fb)
-    eps_rate = 0.5 * _INTEGRAL_TARGET / theta_max
-    total = _adaptive_simpson(
-        integrand, 0.0, theta_max, fa, fm, fb, whole, eps_rate, 44, counter
+    def integrand(theta: np.ndarray) -> np.ndarray:  # lambda^(-1/2) dlambda = 2 sec^2 dtheta
+        lam = (np.tan(theta) ** 2)[:, None]
+        return (2.0 / math.pi) * (1.0 + lam) / (1.0 + squares + lam)
+
+    transfer = 2.0 * b._norm_bound() * _largest(  # 2 ||b|| ||C||_F, C as above
+        _frobenius(np.where(r[..., None] == r[..., None, :], 0.0, w[..., None] * ap))
+        for (w, _), r, ap in zip(eig, idx, primes)
     )
+    eps_rate = 0.5 * _INTEGRAL_TARGET / (theta_max * transfer) if transfer else math.inf
+    g, evaluations = _adaptive_simpson(integrand, theta_max, eps_rate)
 
-    direct = []
-    for (w, v), ab, bb, db in stacks:
-        inv_sqrt = (v / np.sqrt(1.0 + w * w)[..., None, :]) @ v.conj().mT
+    total, direct = [], []
+    for (w, v), r, ap, ab, bb, db in zip(eig, idx, primes, a._stacks, b._stacks, d._stacks):
+        vh = v.conj().mT
+        total.append(v @ (w[..., None] * (g[r][..., None] - g[r][..., None, :]) * ap) @ vh @ bb)
+        inv_sqrt = (v / np.sqrt(1.0 + w * w)[..., None, :]) @ vh
         direct.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
 
     residual = _max_norm(t - dst for t, dst in zip(total, direct))
     direct_norm = _max_norm(direct)
     bound = max(1000.0 * _INTEGRAL_TARGET, 1e-6 * direct_norm)
     check_residual("resolvent integral residual", residual, bound, NumericsError)
-    return IntegralCheck(
-        residual=residual,
-        direct_norm=direct_norm,
-        truncation_bound=truncation,
-        lambda_max=lambda_max,
-        evaluations=counter[0],
-    )
+    return IntegralCheck(residual, direct_norm, truncation, lambda_max, evaluations)
 
 
 def _as_unitary(triple: VnTriple, u: BlockOperator | str, tol: Tolerances):

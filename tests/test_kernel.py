@@ -34,6 +34,7 @@ from vnflow import (
     resolvent_integral_check,
 )
 from vnflow import cli, triples
+from vnflow.triples import IntegralCheck
 from vnflow.model import _spectral_norm
 
 from conftest import haar_unitary, random_matrix, random_projection, random_selfadjoint
@@ -217,14 +218,43 @@ def test_block_ranks_makes_one_lapack_call_per_block_dimension(monkeypatch):
     )
 
 
-def _integral_per_block(triple, a: BlockOperator, b: BlockOperator) -> tuple[float, float, int]:
-    """``resolvent_integral_check``'s residual, direct norm and evaluation
-    count, the integrand and the direct formula computed one block at a time."""
+# -- the resolvent integral: scalar quadratures against the matrix quadrature -----
+
+
+def _simpson(a: float, b: float, fa, fm, fb) -> list[np.ndarray]:
+    h = (b - a) / 6.0
+    return [h * (x + 4.0 * y + z) for x, y, z in zip(fa, fm, fb)]
+
+
+def _matrix_simpson(f, a, b, fa, fm, fb, whole, eps_rate, depth, counter):
+    """Recursive adaptive Simpson on lists of matrices, with a spectral-norm
+    error test."""
+    mid = 0.5 * (a + b)
+    flm, frm = f(0.5 * (a + mid)), f(0.5 * (mid + b))
+    counter[0] += 2
+    left, right = _simpson(a, mid, fa, flm, fm), _simpson(mid, b, fm, frm, fb)
+    err = [x + y - w for x, y, w in zip(left, right, whole)]
+    if depth <= 0 or _max_spectral(err) <= 15.0 * eps_rate * (b - a):
+        return [x + y + e / 15.0 for x, y, e in zip(left, right, err)]
+    sub_left = _matrix_simpson(f, a, mid, fa, flm, fm, left, eps_rate, depth - 1, counter)
+    sub_right = _matrix_simpson(f, mid, b, fm, frm, fb, right, eps_rate, depth - 1, counter)
+    return [x + y for x, y in zip(sub_left, sub_right)]
+
+
+def _matrix_quadrature(triple, a: BlockOperator, b: BlockOperator) -> IntegralCheck:
+    """``resolvent_integral_check`` by adaptive Simpson on the full matrix
+    integrand D [R, a] b, one block at a time, with the check's truncation and
+    direct formula: an independent reference for the scalar route."""
     d = triple.D
     eig = [np.linalg.eigh(_herm(m)) for m in d.blocks]
     scale = (d @ a - a @ d).norm() * b.norm()
     target = triples._INTEGRAL_TARGET
-    theta_max = 0.5 * math.pi - min(0.5 * target * math.pi / (5.0 * scale), 0.25 * math.pi)
+    if scale == 0.0:
+        theta_max, truncation = 0.25 * math.pi, 0.0
+    else:
+        tail_angle = min(0.5 * target * math.pi / (5.0 * scale), 0.25 * math.pi)
+        theta_max = 0.5 * math.pi - tail_angle
+        truncation = (5.0 * scale / math.pi) * tail_angle
     parts = list(zip(eig, a.blocks, b.blocks, d.blocks))
 
     def integrand(theta):
@@ -239,8 +269,8 @@ def _integral_per_block(triple, a: BlockOperator, b: BlockOperator) -> tuple[flo
 
     counter = [3]
     fa, fm, fb = integrand(0.0), integrand(0.5 * theta_max), integrand(theta_max)
-    whole = triples._simpson(0.0, theta_max, fa, fm, fb)
-    total = triples._adaptive_simpson(
+    whole = _simpson(0.0, theta_max, fa, fm, fb)
+    total = _matrix_simpson(
         integrand, 0.0, theta_max, fa, fm, fb, whole, 0.5 * target / theta_max, 44, counter
     )
     direct = []
@@ -248,7 +278,9 @@ def _integral_per_block(triple, a: BlockOperator, b: BlockOperator) -> tuple[flo
         inv_sqrt = (v / np.sqrt(1.0 + w * w)) @ v.conj().T
         direct.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
     residual = _max_spectral(t - x for t, x in zip(total, direct))
-    return residual, _max_spectral(direct), counter[0]
+    return IntegralCheck(
+        residual, _max_spectral(direct), truncation, math.tan(theta_max) ** 2, counter[0]
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -263,8 +295,142 @@ def test_stacked_resolvent_integral_equals_the_per_block_computation(seed):
     }
     triple = make_triple(alg, gens, BlockOperator([random_selfadjoint(n, rng, 2.0) for n in dims]))
     check = resolvent_integral_check(triple, "a", "b")
-    reference = _integral_per_block(triple, gens["a"], gens["b"])
-    assert (check.residual, check.direct_norm, check.evaluations) == reference
+    reference = _matrix_quadrature(triple, gens["a"], gens["b"])
+    assert (check.direct_norm, check.truncation_bound, check.lambda_max) == (
+        reference.direct_norm,
+        reference.truncation_bound,
+        reference.lambda_max,
+    )
+    for residual in (check.residual, reference.residual):
+        assert residual <= 1e-10 * max(1.0, check.direct_norm)
+
+
+@st.composite
+def integral_cases(draw):
+    """A triple on one to three blocks with generators ``1`` and ``a``, and a
+    right factor b.  An ideal block's D is random, or a Dirac-type integer
+    spectrum with repeated eigenvalues and repeated squares; a non-ideal
+    block's D has eigenvalues of size 1e8 and ``a`` commutes with it there.
+    ``a`` may commute with D on every block, and b may be zero."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ideal = [bool(x) for x in rng.random(len(dims)) < 0.7]
+    commuting, zero_b = rng.random() < 0.2, rng.random() < 0.15
+    # 30 makes the error transfer large.  With a non-ideal block, the matrix
+    # quadrature slows down as the scale moves the truncation towards pi/2.
+    size = rng.choice([0.5, 3.0, 30.0]) if all(ideal) else 0.5
+    d, a, b = [], [], []
+    for n, in_ideal in zip(dims, ideal):
+        q = haar_unitary(n, rng)
+        if not in_ideal:
+            w = 1e8 * (rng.permutation(n) + 1.0) * rng.choice([-1.0, 1.0], n)
+        elif rng.random() < 0.4:
+            q, w = np.eye(n), rng.integers(-5, 6, n).astype(float)
+        else:
+            w = rng.uniform(-8.0, 8.0, n)
+        d.append((q * w) @ q.conj().T)
+        if commuting or not in_ideal:
+            a.append((q * (size * rng.standard_normal(n))) @ q.conj().T)
+        else:
+            a.append(random_matrix(n, rng, size))
+        b.append(np.zeros((n, n)) if zero_b else random_matrix(n, rng, size))
+    alg = VnAlgebra(Block(dim=n, in_ideal=i) for n, i in zip(dims, ideal))
+    a = BlockOperator(a)
+    triple = make_triple(alg, {"1": alg.identity(), "a": a}, BlockOperator(d))
+    return triple, a, BlockOperator(b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(integral_cases())
+def test_resolvent_integral_agrees_with_the_matrix_quadrature(case):
+    """Both quadratures keep within half the target on the same interval, and
+    the truncated tail is within the other half."""
+    triple, a, b = case
+    check = resolvent_integral_check(triple, "a", b)
+    reference = _matrix_quadrature(triple, a, b)
+    target = triples._INTEGRAL_TARGET
+    assert (check.truncation_bound, check.lambda_max) == (
+        reference.truncation_bound,
+        reference.lambda_max,
+    )
+    assert check.direct_norm == pytest.approx(reference.direct_norm, rel=1e-12, abs=1e-15)
+    assert abs(check.residual - reference.residual) <= target
+    assert check.residual <= target
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resolvent_integral_keeps_its_target_at_a_large_error_transfer(seed):
+    """With ||a||, ||b|| and ||D|| in the tens, an error of the scalar integrals
+    moves the composed value about 10^4 times as much; the divided budget keeps
+    the residual (truncated tail plus quadrature) within the target."""
+    rng = np.random.default_rng(seed)
+    alg = VnAlgebra([Block(dim=5)])
+    d = BlockOperator([random_selfadjoint(5, rng, 4.0)])
+    a = BlockOperator([random_matrix(5, rng, 30.0)])
+    triple = make_triple(alg, {"1": alg.identity(), "a": a}, d)
+    check = resolvent_integral_check(triple, "a", BlockOperator([random_matrix(5, rng, 30.0)]))
+    assert check.residual <= triples._INTEGRAL_TARGET
+
+
+def test_resolvent_quadrature_makes_one_integrand_call_per_level(monkeypatch):
+    """Each level of the quadrature is one integrand call, and the spectral
+    norms a check takes do not depend on how many nodes it evaluates."""
+    calls, norms = [], []
+    simpson, norm = triples._adaptive_simpson, np.linalg.norm
+
+    def counting_simpson(f, end, eps_rate):
+        def counted(theta):
+            calls.append(len(theta))
+            return f(theta)
+
+        return simpson(counted, end, eps_rate)
+
+    def counting_norm(x, *args, **kwargs):
+        if (args[0] if args else kwargs.get("ord")) == 2:
+            norms.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(triples, "_adaptive_simpson", counting_simpson)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    rng = np.random.default_rng(12)
+    dims = [3, 2, 3]
+    alg = VnAlgebra(Block(dim=n) for n in dims)
+    a = BlockOperator([random_matrix(n, rng) for n in dims])
+    d = BlockOperator([random_selfadjoint(n, rng, 2.0) for n in dims])
+    triple = make_triple(alg, {"1": alg.identity(), "a": a}, d)
+    seen = []
+    for size in (1e-3, 1.0, 30.0):
+        b = BlockOperator([random_matrix(n, rng, size) for n in dims])
+        calls.clear()
+        norms.clear()
+        check = resolvent_integral_check(triple, "a", b)
+        assert len(calls) <= 45 and sum(calls) == check.evaluations
+        seen.append((check.evaluations, len(norms)))
+    assert len({evaluations for evaluations, _ in seen}) == 3
+    assert len({count for _, count in seen}) == 1 and seen[0][1] > 0
+
+
+def test_adaptive_simpson_stops_at_depth_44():
+    """A spike at 0 keeps one interval open on every level, so the quadrature
+    runs its 45 levels with one integrand call each."""
+    calls = []
+
+    def spike(theta):
+        calls.append(len(theta))
+        return (theta == 0.0).astype(float)[:, None]
+
+    total, nodes = triples._adaptive_simpson(spike, 1.0, 0.0)
+    assert len(calls) == 45 and nodes == sum(calls) == 5 + 4 * 44
+    assert 0.0 < total[0] < 1e-12
+
+
+def test_a_budget_below_rounding_raises_instead_of_refining_without_end():
+    rng = np.random.default_rng(4)
+    alg = VnAlgebra([Block(dim=4)])
+    a = BlockOperator([random_matrix(4, rng, 1e3)])
+    triple = make_triple(alg, {"1": alg.identity(), "a": a}, BlockOperator([np.diag([1e6, -2e6, 3e6, -4e6])]))
+    with pytest.raises(NumericsError, match="quadrature level values"):
+        resolvent_integral_check(triple, "a", BlockOperator([random_matrix(4, rng, 1e3)]))
 
 
 def test_tracks_make_one_eigvalsh_call_per_block_dimension(tmp_path, monkeypatch):
