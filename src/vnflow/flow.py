@@ -29,7 +29,7 @@ from .model import (
     k0_of_difference,
     tau_star,
 )
-from .projections import chi, null_projection, proj_intersection
+from .projections import chi, kernel_pair, proj_intersection
 
 __all__ = [
     "PathCertificate",
@@ -238,9 +238,10 @@ def _flow_over_partition(
         contributions.append(k0_of_difference(leaving, entering, alg, tol))
     total = sum(contributions, K0Class.zero(alg.n_ideal))
 
-    product = reduce(lambda acc, p: p @ acc, projections[1:], projections[0])
-    ker = proj_intersection(null_projection(product, tol), projections[0], tol)
-    coker = proj_intersection(null_projection(product.H, tol), projections[-1], tol)
+    # no name keeps the product, or a kernel once intersected, alive
+    ker, coker = kernel_pair(reduce(lambda acc, p: p @ acc, projections[1:], projections[0]), tol)
+    ker = proj_intersection(ker, projections[0], tol)
+    coker = proj_intersection(coker, projections[-1], tol)
     closed = k0_of_difference(ker, coker, alg, tol)
     return total, contributions, closed
 

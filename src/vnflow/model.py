@@ -188,11 +188,6 @@ def _gram(c: np.ndarray) -> np.ndarray:
     return c @ c.conj().mT
 
 
-def _eigenprojector(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Projections onto the eigenvectors, the columns of ``v``, that ``mask`` keeps."""
-    return _projector(mask, lambda rows, keep: _gram(v[rows][..., keep]))
-
-
 # The package's one residual check: every "residual <= tolerance" condition
 # goes through it, so the comparison, the message and the error fields have
 # one form.
@@ -347,9 +342,9 @@ def _groups(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=256)
 def _selection(dims: tuple[int, ...], blocks: tuple[int, ...]) -> tuple:
-    """Per stack holding any of ``blocks``: the stack's number, the positions
-    in ``blocks`` of the blocks it holds, and their rows in the stack (None
-    for all rows in order)."""
+    """Per stack holding any of ``blocks``, in the order ``blocks`` reaches them:
+    its number, the positions in ``blocks`` of its blocks, and their rows in
+    the stack (None for all rows in order)."""
     groups = _groups(dims)
     place = {i: (s, r) for s, idx in enumerate(groups) for r, i in enumerate(idx.tolist())}
     picked: dict[int, list[tuple[int, int]]] = {}
@@ -357,7 +352,7 @@ def _selection(dims: tuple[int, ...], blocks: tuple[int, ...]) -> tuple:
         s, r = place[range(len(dims))[i]]
         picked.setdefault(s, []).append((pos, r))
     out = []
-    for s, chosen in sorted(picked.items()):
+    for s, chosen in picked.items():
         positions, rows = _frozen(*(np.array(x) for x in zip(*chosen)))
         every = rows.tolist() == list(range(len(groups[s])))
         out.append((s, positions, None if every else rows))
@@ -386,7 +381,7 @@ class BlockOperator:
     block.
     """
 
-    __slots__ = ("dims", "_groups", "_stacks", "_blocks", "_cache")
+    __slots__ = ("dims", "_groups", "_stacks", "_blocks", "_cache", "_seed", "_ranks")
 
     def __init__(self, blocks: Sequence[np.ndarray]) -> None:
         mats = []
@@ -402,14 +397,22 @@ class BlockOperator:
         self._stacks = _frozen(*[np.array([mats[i] for i in idx.tolist()]) for idx in self._groups])
         self._blocks: tuple[np.ndarray, ...] | None = None
         self._cache: dict = {}
+        self._seed = self._ranks = None
 
-    def _like(self, stacks: list[np.ndarray]) -> "BlockOperator":
+    def _like(self, stacks: list[np.ndarray], seed=None, ranks=None) -> "BlockOperator":
         """An operator with this one's block structure that takes over
-        ``stacks``: new C-contiguous complex arrays, one per stack of this one."""
+        ``stacks``: new C-contiguous complex arrays, one per stack of this one.
+        Stacks built as ``v diag(w) v*`` keep ``seed``, ``(w, v)`` per stack, and
+        a projection built from masks keeps their counts per stack as ``ranks``."""
         op = object.__new__(BlockOperator)
         op.dims, op._groups, op._blocks, op._cache = self.dims, self._groups, None, {}
-        op._stacks = _frozen(*stacks)
+        op._stacks, op._seed, op._ranks = _frozen(*stacks), seed, ranks
         return op
+
+    def _eig(self) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+        """The seed, a list of ``(w, v)`` per stack, else an iterator that takes
+        them one stack at a time and stores nothing."""
+        return self._seed if self._seed is not None else map(_eigh, self._stacks)
 
     def _stacks_of(self, blocks: tuple[int, ...]) -> list:
         """(positions in ``blocks``, stack of those blocks) per block dimension."""
@@ -437,19 +440,22 @@ class BlockOperator:
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "BlockOperator":
         """Functional calculus: ``fn`` applied to the spectrum of the Hermitian
-        part.  ``fn`` acts elementwise on an array of eigenvalues."""
-        stacks = []
-        for st in self._stacks:
-            w, v = _eigh(st)
-            stacks.append((v * fn(w)[:, None, :]) @ v.conj().mT)
-        return self._like(stacks)
+        part.  ``fn`` acts elementwise on an array of eigenvalues.  A real
+        ``fn`` gives a selfadjoint result, seeded with ``(fn(w), v)``."""
+        seed = [(fn(w), v) for w, v in self._eig()]
+        stacks = [(v * fw[:, None, :]) @ v.conj().mT for fw, v in seed]
+        return self._like(stacks, seed if all(np.isrealobj(fw) for fw, _ in seed) else None)
 
-    def spectral_projection(
-        self, keep: Callable[[np.ndarray], np.ndarray]
-    ) -> "BlockOperator":
+    def spectral_projection(self, keep: Callable[[np.ndarray], np.ndarray]) -> "BlockOperator":
         """Projection onto the eigenvectors of the Hermitian part whose
-        eigenvalues pass the elementwise boolean mask ``keep``."""
-        return self._like([_eigenprojector(v, keep(w)) for w, v in map(_eigh, self._stacks)])
+        eigenvalues pass the elementwise boolean mask ``keep``, with the mask
+        counts as its ranks."""
+        stacks, ranks = [], []
+        for w, v in self._eig():
+            mask = keep(w)
+            stacks.append(_projector(mask, lambda rows, kept: _gram(v[rows][..., kept])))
+            ranks.append(np.count_nonzero(mask, axis=-1))
+        return self._like(stacks, ranks=ranks)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -754,11 +760,26 @@ class OperatorPath:
 # -- model operations ---------------------------------------------------------
 
 
+def _quotient(op: BlockOperator, alg: VnAlgebra) -> BlockOperator:
+    """The image of ``op`` in the quotient: its non-ideal blocks as an operator
+    of their own (of no blocks when all are ideal).  The quotient map acts
+    block by block, so sums and products of images are bitwise the images of
+    the sums and products, formed without the ideal blocks."""
+    alg.require_conformal(op)
+    image = op._like([st for _, st in op._stacks_of(alg.nonideal_indices)])
+    image.dims = tuple(op.dims[i] for i in alg.nonideal_indices)
+    image._groups = _groups(image.dims)
+    return image
+
+
 def quotient_norm(op: BlockOperator, alg: VnAlgebra) -> float:
     """Norm of the image in the quotient: max spectral norm over non-ideal blocks.
 
+    ``op`` is an operator of the model or an image made by ``_quotient``.
     Returns 0 when every block belongs to the ideal (the quotient is zero).
     """
+    if op.dims == tuple(alg.dims[i] for i in alg.nonideal_indices):
+        return op.norm()  # an image (or, with no ideal block, op itself)
     alg.require_conformal(op)
     return _max_norm(st for _, st in op._stacks_of(alg.nonideal_indices))
 
@@ -766,11 +787,12 @@ def quotient_norm(op: BlockOperator, alg: VnAlgebra) -> float:
 def block_ranks(p: BlockOperator) -> tuple[int, ...]:
     """Per-block rank of a projection, counted against the 1/2 threshold.
 
-    Eigenvalues of the Hermitian part are compared with 1/2, which is the
-    stable way to count after arithmetic has smeared an idempotent.
+    A projection built from a mask carries the mask counts; otherwise
+    eigenvalues of the Hermitian part are compared with 1/2, the stable way
+    to count after arithmetic has smeared an idempotent.
     """
-    counts = (np.add.reduce(_eigvalsh(st) >= 0.5, axis=-1).tolist() for st in p._stacks)
-    return tuple(p._in_block_order(counts))
+    counts = p._ranks or [np.add.reduce(_eigvalsh(st) >= 0.5, axis=-1) for st in p._stacks]
+    return tuple(p._in_block_order(c.tolist() for c in counts))
 
 
 def tau(p: BlockOperator, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -23,11 +23,12 @@ from .model import (
     K0Class,
     Tolerances,
     VnAlgebra,
+    _quotient,
     check_residual,
     quotient_norm,
 )
 from .corner import _quotient_unitarity, boundary_map
-from .projections import nearest_projection, null_projection
+from .projections import kernel_pair, nearest_projection
 
 __all__ = [
     "PairingData",
@@ -46,18 +47,19 @@ def unitary_log(u: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperato
     """Selfadjoint logarithm: q with u = exp(2 pi i q) and spectrum in [0, 1).
 
     The branch cut sits at argument zero, so the eigenvalue 1 maps to the
-    q-eigenvalue 0.  Built from a complex Schur form, which is diagonal for
-    the (normal) unitary input.
+    q-eigenvalue 0, as do arguments just below zero that ``np.mod`` rounds up
+    to 2 pi (q-eigenvalues >= 1 - 1e-12).  Built from a complex Schur form,
+    diagonal for the (normal) input u; q keeps that basis as its seed.
     """
     u.require_unitary("unitary_log argument", eps=_LOG_TOL)
 
-    logs = []
-    for b in u.blocks:
-        t, z = scipy.linalg.schur(b, output="complex")
-        angles = np.mod(np.angle(np.diagonal(t)), 2.0 * np.pi)
-        vals = angles / (2.0 * np.pi)
-        logs.append((z * vals) @ z.conj().T)
-    q = BlockOperator(logs)
+    seed = []
+    for st in u._stacks:
+        schur = [scipy.linalg.schur(b, output="complex") for b in st]
+        vals = np.mod(np.angle([np.diagonal(t) for t, _ in schur]), 2.0 * np.pi) / (2.0 * np.pi)
+        vals[vals >= 1.0 - 1e-12] = 0.0
+        seed.append((vals, np.array([z for _, z in schur])))
+    q = u._like([(z * vals[:, None, :]) @ z.conj().mT for vals, z in seed], seed)
     _check_exp(q, u, "logarithm reconstruction error", NumericsError)
     return q
 
@@ -85,10 +87,10 @@ def cos_identity_check(
     """
     eps = tol.gap if eps_gap is None else eps_gap
     q.require_selfadjoint("cos identity argument", tol)
-    check_residual("q must be idempotent modulo the ideal", quotient_norm(q @ q - q, alg), eps)
-    one = alg.identity()
-    cos_pq = q.apply(lambda w: np.cos(np.pi * w))
-    return quotient_norm(cos_pq + 2.0 * q - one, alg)
+    qq = _quotient(q, alg)
+    check_residual("q must be idempotent modulo the ideal", quotient_norm(qq @ qq - qq, alg), eps)
+    cos_pq = _quotient(q.apply(lambda w: np.cos(np.pi * w)), alg)
+    return quotient_norm(cos_pq + 2.0 * qq - _quotient(alg.identity(), alg), alg)
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,8 @@ def make_pairing_data(
     alg.require_conformal(p)
     alg.require_conformal(u)
     u.require_unitary("pairing unitary", tol)
-    idempotency = quotient_norm(p @ p - p, alg)
+    pq = _quotient(p, alg)
+    idempotency = quotient_norm(pq @ pq - pq, alg)
     check_residual("p must be a projection modulo the ideal", idempotency, tol.gap)
     p.require_selfadjoint("p", tol)
 
@@ -155,7 +158,8 @@ def make_pairing_data(
                         "psi must be multiplicative on the test elements"
                     )
 
-    commutator = quotient_norm(p @ psi_map(u) - psi_map(u) @ p, alg)
+    psi_u = _quotient(psi_map(u), alg)
+    commutator = quotient_norm(pq @ psi_u - psi_u @ pq, alg)
     check_residual("[p, psi(u)] must be ideal-supported", commutator, tol.gap)
     return PairingData(alg=alg, p=p, u=u, q=q, psi=psi_map, commutator=commutator)
 
@@ -206,7 +210,7 @@ def pairing_result(
     # W's quotient unitarity is checked once, with the bound boundary_map uses
     w_op, left, right = _checked_intermediate(data, tol)
     checked = CheckedClass.of(
-        null_projection(w_op, tol), null_projection(w_op.H, tol), alg, tol,
+        *kernel_pair(w_op, tol), alg, tol,
         intermediate_unitarity_left=left,
         intermediate_unitarity_right=right,
         commutator_quotient=data.commutator,

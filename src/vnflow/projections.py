@@ -2,8 +2,8 @@
 
 Spectral projections, polar phases, kernel projections, range intersections
 and nearest-projection repair.  Every projection returned here is "snapped":
-it is rebuilt from an orthonormal eigenbasis, so downstream rank counts are
-stable integers.
+it is rebuilt from an orthonormal eigen- or singular basis, and carries the
+per-block counts of the vectors it kept as its ranks.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ import numpy as np
 
 from .errors import NumericsError, SpectralGapError
 from .model import DEFAULT_TOL, BlockOperator, Tolerances
-from .model import _eigenprojector, _eigh, _gram, _norm_eps, _projector, _svd
+from .model import _gram, _norm_eps, _projector, _svd
 
 __all__ = [
     "chi",
     "polar_phase",
     "null_projection",
+    "kernel_pair",
     "range_projection",
     "proj_intersection",
     "nearest_projection",
@@ -40,20 +41,30 @@ def chi(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     )
 
 
-def _from_svd(op: BlockOperator, tol: Tolerances, product: Callable, above=True) -> BlockOperator:
-    """The operator built by ``_projector`` from the SVD ``u s vh`` of each
-    stack: ``product(u, vh, rows, keep)`` for the rows that keep the same
-    singular values, those above the kernel threshold (``above``) or the rest.
-    An operator whose norm is not finite raises NumericsError."""
+# The projections onto the kept right and left singular vectors, and the phase.
+_PRODUCTS: dict[str, Callable] = {
+    "right": lambda u, vh, rows, keep: _gram(vh[rows][..., keep, :].conj().mT),
+    "left": lambda u, vh, rows, keep: _gram(u[rows][..., keep]),
+    "phase": lambda u, vh, rows, keep: u[rows][..., keep] @ vh[rows][..., keep, :],
+}
+
+
+def _from_svd(op: BlockOperator, tol: Tolerances, kinds, above=True) -> list[BlockOperator]:
+    """One operator per ``_PRODUCTS`` kind, built by ``_projector`` from the one
+    SVD ``u s vh`` of each stack for the rows that keep the same singular values,
+    those above the kernel threshold (``above``) or the rest; projections carry
+    the numbers kept as ranks.  A norm that is not finite raises NumericsError."""
     if not math.isfinite(op._norm_bound()) and not math.isfinite(op.norm()):
         raise NumericsError(f"singular value decomposition of an operator of norm {op.norm()}")
-    stacks = []
+    out, counts = [[] for _ in kinds], []
     for st in op._stacks:
         u, s, vh = _svd(st)
         eps = _norm_eps(tol.kernel_eps, tol.kernel, (op,), s)
         mask = s > eps if above else s <= eps
-        stacks.append(_projector(mask, lambda rows, keep: product(u, vh, rows, keep)))
-    return op._like(stacks)
+        counts.append(np.count_nonzero(mask, axis=-1))
+        for stacks, kind in zip(out, kinds):
+            stacks.append(_projector(mask, lambda rows, keep: _PRODUCTS[kind](u, vh, rows, keep)))
+    return [op._like(st, ranks=None if k == "phase" else counts) for st, k in zip(out, kinds)]
 
 
 def polar_phase(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
@@ -62,19 +73,26 @@ def polar_phase(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperat
     Built from the SVD keeping singular values above the kernel threshold.
     The zero operator yields the zero phase.
     """
-    return _from_svd(op, tol, lambda u, vh, rows, keep: u[rows][..., keep] @ vh[rows][..., keep, :])
+    return _from_svd(op, tol, ["phase"])[0]
 
 
 def null_projection(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     """Orthogonal projection onto the kernel (right singular vectors below threshold)."""
-    return _from_svd(
-        op, tol, lambda u, vh, rows, keep: _gram(vh[rows][..., keep, :].conj().mT), False
-    )
+    return _from_svd(op, tol, ["right"], above=False)[0]
+
+
+def kernel_pair(
+    op: BlockOperator, tol: Tolerances = DEFAULT_TOL
+) -> tuple[BlockOperator, BlockOperator]:
+    """The kernel projections of S and of S*, from one SVD S = U s V*: as
+    S* = V s U*, the kernel of S* is spanned by the left singular vectors below
+    the cut of the right ones, and the two have equal rank on every block."""
+    return tuple(_from_svd(op, tol, ["right", "left"], above=False))
 
 
 def range_projection(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     """Orthogonal projection onto the closure of the image."""
-    return _from_svd(op, tol, lambda u, vh, rows, keep: _gram(u[rows][..., keep]))
+    return _from_svd(op, tol, ["left"])[0]
 
 
 def proj_intersection(
@@ -102,7 +120,7 @@ def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> Block
     """
     e.require_selfadjoint("nearest_projection argument", tol)
     gap_eps = 1e-12
-    eig = [_eigh(st) for st in e._stacks]
+    eig = list(e._eig())
     near = e._in_block_order(np.any(np.abs(w - 0.5) < gap_eps, axis=1) for w, _ in eig)
     defect = e._in_block_order(np.max(np.abs(w * w - w), axis=1) for w, _ in eig)
     for i in range(len(e.dims)):
@@ -116,7 +134,7 @@ def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> Block
                 f"no spectral gap: block {i} has idempotency defect "
                 f"{defect[i]:.6g} >= 1/4"
             )
-    return e._like([_eigenprojector(v, w > 0.5) for w, v in eig])
+    return e._like(e._stacks, eig).spectral_projection(lambda w: w > 0.5)
 
 
 def range_basis(p: BlockOperator) -> list[np.ndarray]:
@@ -125,6 +143,4 @@ def range_basis(p: BlockOperator) -> list[np.ndarray]:
     Returns one (dim x rank) matrix with orthonormal columns per block,
     obtained from the eigenvectors with eigenvalue above 1/2.
     """
-    return p._in_block_order(
-        [vi[:, wi > 0.5] for wi, vi in zip(*_eigh(st))] for st in p._stacks
-    )
+    return p._in_block_order([vi[:, wi > 0.5] for wi, vi in zip(w, v)] for w, v in p._eig())

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -32,11 +31,11 @@ from .model import (
     OperatorPath,
     Tolerances,
     VnAlgebra,
-    _eigh,
     _frobenius,
     _largest,
     _max_norm,
     _norm_eps,
+    _quotient,
     block_ranks,
     check_residual,
     check_support,
@@ -78,11 +77,11 @@ def bounded_transform(d: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockO
 class VnTriple:
     """A spectral triple over a block model.
 
-    ``F`` is the bounded transform of ``D``, ``p`` its nonnegative spectral
-    projection and ``p_half`` the affine shift (F + 1)/2, which is only a
-    projection modulo the ideal.  ``commutator_norms`` records ||[D, a]|| per
-    generator; ``resolvent_residuals`` records the non-ideal support of
-    a (i - D)^(-1), which construction has verified to be negligible.
+    ``D`` carries the eigenbasis ``make_triple`` took once; ``F`` is its bounded
+    transform, ``p`` the nonnegative spectral projection of F and ``p_half`` the
+    affine shift (F + 1)/2, only a projection modulo the ideal.
+    ``commutator_norms`` records ||[D, a]|| per generator; ``resolvent_residuals``
+    records the non-ideal support of a (i - D)^(-1), verified negligible.
     """
 
     alg: VnAlgebra
@@ -93,11 +92,6 @@ class VnTriple:
     p_half: BlockOperator
     commutator_norms: Mapping[str, float]
     resolvent_residuals: Mapping[str, float]
-
-    @cached_property
-    def _d_eigh(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The eigendecomposition of each stack of ``D``, taken on first use."""
-        return [_eigh(st) for st in self.D._stacks]
 
     def generator(self, name: str) -> BlockOperator:
         try:
@@ -145,6 +139,7 @@ def make_triple(
         eps = _norm_eps(tol.proj_eps, tol.proj, (a,), res, report=True)
         residuals[name] = check_residual(f"a (i - D)^(-1) off the ideal, a = {name!r}", res, eps)
 
+    d = d._like(d._stacks, list(d._eig()))  # read by the bounded transform and the integrals
     f = bounded_transform(d, tol)
     return VnTriple(
         alg=alg,
@@ -177,13 +172,14 @@ def check_kasparov_module(
 ) -> KasparovReport:
     """Check that [F, a], a(1 - F^2) and a(F - F*) vanish in the quotient."""
     alg = triple.alg
-    one = alg.identity()
-    f = triple.F
+    one, f = (_quotient(x, alg) for x in (alg.identity(), triple.F))
+    square_defect, adjoint_defect = one - f @ f, f - f.H
     comm, square, adj = {}, {}, {}
     for name, a in triple.generators.items():
+        a = _quotient(a, alg)
         comm[name] = quotient_norm(f @ a - a @ f, alg)
-        square[name] = quotient_norm(a @ (one - f @ f), alg)
-        adj[name] = quotient_norm(a @ (f - f.H), alg)
+        square[name] = quotient_norm(a @ square_defect, alg)
+        adj[name] = quotient_norm(a @ adjoint_defect, alg)
     passed = all(
         v <= tol.gap for vals in (comm, square, adj) for v in vals.values()
     )
@@ -277,7 +273,7 @@ def resolvent_integral_check(
         truncation = (5.0 * scale / math.pi) * tail_angle
     lambda_max = math.tan(theta_max) ** 2
 
-    eig = triple._d_eigh
+    eig = list(d._eig())
     squares = np.unique(np.concatenate([(w * w).ravel() for w, _ in eig]))
     idx = [np.searchsorted(squares, w * w) for w, _ in eig]  # w_k^2 = squares[idx[k]]
     primes = [v.conj().mT @ ab @ v for (_, v), ab in zip(eig, a._stacks)]  # a' = V* a V
@@ -330,7 +326,8 @@ def sf_unitary_result(
     u = _as_unitary(triple, u, tol)
     alg = triple.alg
     p = triple.p
-    commutator = quotient_norm(u @ p - p @ u, alg)
+    uq, pq = _quotient(u, alg), _quotient(p, alg)
+    commutator = quotient_norm(uq @ pq - pq @ uq, alg)
     check_residual("[u, p] must be ideal-supported", commutator, tol.gap)
     one = alg.identity()
     lifted = boundary_map_result(p @ u @ p + (one - p), alg, tol, eps_gap=10 * tol.gap)

@@ -749,6 +749,49 @@ def test_class_results_are_built_by_checked_class_of():
         assert direct == [], path.name
 
 
+# -- every eigendecomposition of an operator goes through _eig ------------------
+
+
+def _eigh_uses(tree: ast.AST) -> list[str]:
+    """Names, attributes and imports of ``_eigh``: calls, and the function
+    passed on (``map(_eigh, ...)``), which would bypass an operator's seed."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "_eigh") or (
+            isinstance(node, ast.Attribute) and node.attr == "_eigh"
+        ):
+            found.append(f"line {node.lineno}: _eigh")
+        if isinstance(node, ast.ImportFrom) and any(a.name == "_eigh" for a in node.names):
+            found.append(f"line {node.lineno}: import of _eigh")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "model.py"], ids=lambda p: p.name
+)
+def test_operators_are_eigendecomposed_through_eig(path):
+    """``_eigh`` is called in model.py only: everywhere else an operator's
+    eigendecomposition is ``op._eig()``, which returns the seed it was built
+    from before it computes one."""
+    assert _eigh_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_eig_guard_sees_the_patterns():
+    # the three sites outside model.py before operators kept their basis, a
+    # qualified call, then the reader it must accept
+    source = (
+        "from .model import _eigenprojector, _eigh, _gram\n"
+        "eig = [_eigh(st) for st in e._stacks]\n"
+        "bases = [vi[:, wi > 0.5] for wi, vi in zip(*_eigh(st))]\n"
+        "eig = [model._eigh(st) for st in self.D._stacks]\n"
+        "eig = op._eig()\n"
+        "stacks = [_eigenprojector(v, keep(w)) for w, v in map(_eigh, stacks)]\n"
+    )
+    assert len(_eigh_uses(ast.parse(source))) == 5
+    model = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    assert _eigh_uses(model)
+
+
 # -- no per-block kernel loops where the blocks are stacked -----------------------
 
 _KERNEL_CALLS = ("_eigh", "_eigvalsh", "_spectral_norm", "_svd")

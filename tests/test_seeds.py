@@ -1,0 +1,190 @@
+"""Decompositions taken once: seeds, seeded ranks, the kernel pair, quotient images.
+
+An operator built from a basis keeps it (``apply`` with a real function,
+``unitary_log``, the triple's D) and a projection built from a mask keeps the
+mask counts as its ranks.  These tests check that every seed reconstructs its
+operator, that seeded ranks are the eigenvalue counts they replace, that one
+SVD gives both kernels, and how many decompositions each route takes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vnflow import (
+    Block,
+    BlockOperator,
+    OperatorPath,
+    VnAlgebra,
+    block_ranks,
+    bounded_transform,
+    chi,
+    dirac_circle,
+    kernel_pair,
+    make_pairing_data,
+    nearest_projection,
+    null_projection,
+    pairing_via_boundary,
+    proj_intersection,
+    quotient_norm,
+    range_projection,
+    sf_unbounded,
+    sf_unitary,
+    unitary_log,
+)
+from vnflow.model import _quotient
+
+from conftest import haar_unitary, random_matrix
+
+_EPS = np.finfo(float).eps
+# few levels, so that eigenvalues and singular values repeat within a block
+_LEVELS = (-2.0, -0.75, 0.0, 0.0, 0.25, 1.0, 1.0, 3.0)
+
+
+@st.composite
+def models(draw):
+    """An algebra of ideal and non-ideal blocks of dimension 1..5, with a
+    Hermitian operator on it whose eigenvalues repeat, and a random seed."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    ideal = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for n in dims:
+        v = haar_unitary(n, rng)
+        w = np.array([draw(st.sampled_from(_LEVELS)) for _ in range(n)])
+        blocks.append((v * w) @ v.conj().T)
+    alg = VnAlgebra(Block(n, in_ideal=i) for n, i in zip(dims, ideal))
+    return alg, BlockOperator(blocks), rng
+
+
+def _reconstructs(op: BlockOperator) -> None:
+    """The seed has orthonormal bases and gives back the operator's blocks
+    within 8 n eps max(1, ||op||)."""
+    assert op._seed is not None
+    bound = 8 * max(op.dims) * _EPS * max(1.0, op.norm())
+    per_block = op._in_block_order(zip(w, v) for w, v in op._seed)
+    for block, (w, v) in zip(op.blocks, per_block):
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= bound
+        assert np.abs(v @ np.diag(w) @ v.conj().T - block).max() <= bound
+
+
+def _ranks_are_eigenvalue_counts(p: BlockOperator) -> None:
+    assert p._ranks is not None
+    counts = tuple(int(np.count_nonzero(np.linalg.eigvalsh(b) >= 0.5)) for b in p.blocks)
+    assert block_ranks(p) == counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(models())
+def test_seeds_reconstruct_and_seeded_ranks_are_counts(model):
+    alg, a, rng = model
+    for fn in (np.tanh, lambda w: w * w - 1.0, lambda w: np.cos(np.pi * w)):
+        _reconstructs(a.apply(fn))
+    transform = bounded_transform(a)
+    _reconstructs(transform)
+    u = a.apply(lambda w: np.exp(0.5j * np.pi * w))  # a complex function: no seed
+    assert u._seed is None
+    _reconstructs(unitary_log(u))
+
+    s = BlockOperator([random_matrix(n, rng) for n in a.dims]) @ a
+    p, q = chi(a), chi(-a)
+    projections = [
+        p, q, chi(transform), a.spectral_projection(lambda w: np.abs(w) < 0.5),
+        null_projection(s), range_projection(s), *kernel_pair(s), proj_intersection(p, q),
+        nearest_projection(0.9 * p + 0.05 * alg.identity()),
+    ]
+    for proj in projections:
+        _ranks_are_eigenvalue_counts(proj)
+    # sums, products, adjoints and quotient images carry no seed
+    for derived in (p + q, p @ q, transform.H, _quotient(transform, alg)):
+        assert derived._seed is None and derived._ranks is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(models())
+def test_the_kernel_pair_is_the_two_kernels(model):
+    """Singular values are exact levels: 0 or at least 1/4, far from the cut."""
+    alg, a, rng = model
+    blocks = []
+    for n in a.dims:
+        levels = np.abs(np.array(_LEVELS[: n]))[rng.permutation(n)]
+        blocks.append((haar_unitary(n, rng) * levels) @ haar_unitary(n, rng).conj().T)
+    s = BlockOperator(blocks)
+    ker, coker = kernel_pair(s)
+    assert ker.allclose(null_projection(s), atol=0.0)  # the same SVD
+    assert coker.allclose(null_projection(s.H), atol=1e-10)
+    assert block_ranks(ker) == block_ranks(coker) == block_ranks(null_projection(s.H))
+
+
+@settings(max_examples=60, deadline=None)
+@given(models())
+def test_products_of_quotient_images_are_the_images_of_products(model):
+    alg, a, rng = model
+    b = BlockOperator([random_matrix(n, rng) for n in a.dims])
+    qa, qb = _quotient(a, alg), _quotient(b, alg)
+    assert qa.dims == tuple(a.dims[i] for i in alg.nonideal_indices)
+    assert quotient_norm(qa @ qb - qb @ qa, alg) == quotient_norm(a @ b - b @ a, alg)
+    assert quotient_norm(qb.H @ qb, alg) == quotient_norm(b.H @ b, alg)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
+def test_unitary_log_of_cyclic_shifts_keeps_its_spectrum_below_one(k):
+    """An argument just below zero used to round up to 2 pi, a q-eigenvalue 1."""
+    for n in range(8, 65):
+        u = np.zeros((n, n), dtype=complex)
+        u[(np.arange(n) + k) % n, np.arange(n)] = 1.0
+        q = unitary_log(BlockOperator([u]))
+        assert np.linalg.eigvalsh(q.blocks[0]).max() <= 1.0 - 1e-12, n
+
+
+# -- how many decompositions each route takes ------------------------------------
+
+
+def _counting(monkeypatch) -> dict[str, list]:
+    calls: dict[str, list] = {}
+    for name in ("eigh", "eigvalsh", "svd"):
+        calls[name] = []
+
+        def counted(a, *args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+            calls[_name].append(np.shape(a))
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _budget(calls: dict[str, list]) -> dict[str, int]:
+    budget = {name: len(c) for name, c in calls.items()}
+    for c in calls.values():
+        c.clear()
+    return budget
+
+
+def test_route_budgets_on_a_single_block_dirac_triple(monkeypatch):
+    calls = _counting(monkeypatch)
+    triple, u = dirac_circle(6, 2)  # the cyclic shift on a window has class 0
+    # D once, read by its bounded transform; chi(F) reads F's seed
+    assert _budget(calls) == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+
+    # one kernel pair per route, and two range intersections in the corner
+    assert sf_unitary(triple, u).ranks == (0,)
+    assert _budget(calls) == {"eigh": 2, "eigvalsh": 0, "svd": 3}
+
+    # two bounded transforms of D + A_t, and two range intersections
+    path = OperatorPath.linear(triple.alg.zero(), u.H @ triple.D @ u - triple.D)
+    assert sf_unbounded(triple, path).ranks == (0,)
+    assert _budget(calls) == {"eigh": 4, "eigvalsh": 0, "svd": 0}
+
+    # q keeps its Schur basis, so exp, cos and sin of q take no eigh; one
+    # kernel pair for the lift and one for the intermediate operator
+    data = make_pairing_data(triple.alg, triple.p, u)
+    assert pairing_via_boundary(data).ranks == (0,)
+    assert _budget(calls) == {"eigh": 0, "eigvalsh": 0, "svd": 2}
+
+    # library projections carry their ranks
+    assert block_ranks(triple.p) == (7,)
+    assert block_ranks(null_projection(triple.D)) == (1,)
+    assert _budget(calls) == {"eigh": 0, "eigvalsh": 0, "svd": 1}

@@ -226,8 +226,8 @@ def test_a_failing_corner_check_reports_the_exact_bound():
 
 def test_a_checks_document_eigendecomposes_d_once_for_its_integrals(tmp_path, monkeypatch):
     """Three generators make nine resolvent integrals; D is eigendecomposed
-    once for all of them (plus once for its bounded transform), and each
-    residual is the one computed from the operators on a fresh triple."""
+    once, by make_triple, for all of them and for its bounded transform, and
+    each residual is the one computed from the operators on a fresh triple."""
     model = tmp_path / "dirac.json"
     assert main(["generate", "dirac", "--m", "3", "--k", "2", "--out", str(model)]) == 0
     doc = json.loads(model.read_text())
@@ -251,7 +251,7 @@ def test_a_checks_document_eigendecomposes_d_once_for_its_integrals(tmp_path, mo
     monkeypatch.setattr(np.linalg, "eigh", counting)
     out = tmp_path / "report.json"
     assert main(["run", str(doc_file), "--out", str(out)]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     monkeypatch.setattr(np.linalg, "eigh", eigh)
 
     names = doc["triple"]["generators"]

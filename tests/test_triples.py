@@ -388,23 +388,23 @@ def test_pushforward_identity_unitary():
 def test_pushforward_reuses_the_flow_kernels(monkeypatch):
     import vnflow.corner
     import vnflow.triples
-    from vnflow import null_projection
+    from vnflow import kernel_pair
 
     triple, u = _mixed_triple()
     calls = []
 
     def counted(op, tol):
         calls.append(op)
-        return null_projection(op, tol)
+        return kernel_pair(op, tol)
 
     for module in (vnflow.corner, vnflow.triples):
-        monkeypatch.setattr(module, "null_projection", counted, raising=False)
+        monkeypatch.setattr(module, "kernel_pair", counted, raising=False)
     sf_unitary(triple, u)
-    # kernel and cokernel of the three routes: both lifts and the corner
-    assert len(calls) == 6
+    # one kernel pair (one SVD) per route: both lifts and the corner
+    assert len(calls) == 3
     calls.clear()
     sub, padded = pushforward_sf(triple, u, [True, False, False])
-    assert len(calls) == 6
+    assert len(calls) == 3
     assert padded == sf_unitary(triple, u)
 
 
