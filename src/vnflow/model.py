@@ -120,6 +120,29 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
         raise NumericsError(f"Hermitian eigenvalue computation failed: {exc}") from exc
 
 
+def _unitary_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors ``(lam, z)`` of a unitary, or of
+    each unitary of a stack, from one Hermitian eigendecomposition.
+
+    With ``cos phi`` at the middle of the widest gap of ``{-1, cos theta_k, 1}``
+    (the eigenvalues of (u + u*)/2), ``c = e^(i phi)`` has distance at least
+    1/(n + 1) from the spectrum of u, so the Cayley transform
+    ``i (c - u)^(-1) (c + u)`` is Hermitian with norm at most 2 (n + 1) and has
+    u's eigenvectors.  ``lam`` is read off ``diag(z* u z)``."""
+    cos = np.clip(_eigvalsh(mat), -1.0, 1.0)
+    ends = np.ones(cos.shape[:-1] + (1,))
+    edges = np.concatenate([-ends, cos, ends], axis=-1)
+    j = np.diff(edges, axis=-1).argmax(axis=-1)[..., None]
+    mid = 0.5 * (np.take_along_axis(edges, j, -1) + np.take_along_axis(edges, j + 1, -1))
+    c = np.exp(1j * np.arccos(mid))[..., None] * np.eye(mat.shape[-1])
+    try:
+        cayley = 1j * np.linalg.solve(c - mat, c + mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"Cayley transform failed: {exc}") from exc
+    z = _eigh(cayley)[1]
+    return (z.conj() * (mat @ z)).sum(axis=-2), z
+
+
 def _svd(mat: np.ndarray, compute_uv: bool = True):
     """The SVD ``(u, s, vh)``, or only ``s`` when ``compute_uv`` is false."""
     try:

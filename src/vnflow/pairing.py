@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConsistencyError, ModelError, NumericsError, PreconditionError
 from .model import (
@@ -24,6 +23,7 @@ from .model import (
     Tolerances,
     VnAlgebra,
     _quotient,
+    _unitary_eig,
     check_residual,
     quotient_norm,
 )
@@ -48,17 +48,18 @@ def unitary_log(u: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperato
 
     The branch cut sits at argument zero, so the eigenvalue 1 maps to the
     q-eigenvalue 0, as do arguments just below zero that ``np.mod`` rounds up
-    to 2 pi (q-eigenvalues >= 1 - 1e-12).  Built from a complex Schur form,
-    diagonal for the (normal) input u; q keeps that basis as its seed.
+    to 2 pi (q-eigenvalues >= 1 - 1e-12).  Built from u's eigenbasis, one
+    Hermitian eigendecomposition of a Cayley transform per stack; q keeps that
+    basis as its seed.
     """
     u.require_unitary("unitary_log argument", eps=_LOG_TOL)
 
     seed = []
     for st in u._stacks:
-        schur = [scipy.linalg.schur(b, output="complex") for b in st]
-        vals = np.mod(np.angle([np.diagonal(t) for t, _ in schur]), 2.0 * np.pi) / (2.0 * np.pi)
+        lam, z = _unitary_eig(st)
+        vals = np.mod(np.angle(lam), 2.0 * np.pi) / (2.0 * np.pi)
         vals[vals >= 1.0 - 1e-12] = 0.0
-        seed.append((vals, np.array([z for _, z in schur])))
+        seed.append((vals, z))
     q = u._like([(z * vals[:, None, :]) @ z.conj().mT for vals, z in seed], seed)
     _check_exp(q, u, "logarithm reconstruction error", NumericsError)
     return q

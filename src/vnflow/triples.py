@@ -4,14 +4,15 @@ A triple bundles a named generating family (containing the unit), a
 selfadjoint operator D, and the ambient algebra with its ideal mask.  The
 bounded transform D(1 + D^2)^(-1/2) and the two associated projections are
 derived at construction time, together with machine-checkable versions of the
-module hypotheses: bounded commutators (recorded) and ideal-supported
-resolvents (enforced).
+module hypotheses: bounded commutators (measured on first read) and
+ideal-supported resolvents (enforced).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -80,8 +81,9 @@ class VnTriple:
     ``D`` carries the eigenbasis ``make_triple`` took once; ``F`` is its bounded
     transform, ``p`` the nonnegative spectral projection of F and ``p_half`` the
     affine shift (F + 1)/2, only a projection modulo the ideal.
-    ``commutator_norms`` records ||[D, a]|| per generator; ``resolvent_residuals``
-    records the non-ideal support of a (i - D)^(-1), verified negligible.
+    ``resolvent_residuals`` records the non-ideal support of a (i - D)^(-1),
+    verified negligible; ``commutator_norms``, ||[D, a]|| per generator, is
+    computed on first read.
     """
 
     alg: VnAlgebra
@@ -90,8 +92,12 @@ class VnTriple:
     F: BlockOperator
     p: BlockOperator
     p_half: BlockOperator
-    commutator_norms: Mapping[str, float]
     resolvent_residuals: Mapping[str, float]
+
+    @cached_property
+    def commutator_norms(self) -> Mapping[str, float]:
+        d = self.D
+        return MappingProxyType({n: (d @ a - a @ d).norm() for n, a in self.generators.items()})
 
     def generator(self, name: str) -> BlockOperator:
         try:
@@ -130,11 +136,9 @@ def make_triple(
     ):
         raise PreconditionError("the generating family must contain the unit")
 
-    commutators = {}
     residuals = {}
     for name, a in generators.items():
         alg.require_conformal(a)
-        commutators[name] = (d @ a - a @ d).norm()
         res = _resolvent_residual(a, d, alg)
         eps = _norm_eps(tol.proj_eps, tol.proj, (a,), res, report=True)
         residuals[name] = check_residual(f"a (i - D)^(-1) off the ideal, a = {name!r}", res, eps)
@@ -148,7 +152,6 @@ def make_triple(
         F=f,
         p=chi(f, tol),
         p_half=0.5 * (f + one),
-        commutator_norms=MappingProxyType(commutators),
         resolvent_residuals=MappingProxyType(residuals),
     )
 

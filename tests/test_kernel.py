@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +401,7 @@ def test_resolvent_quadrature_makes_one_integrand_call_per_level(monkeypatch):
     a = BlockOperator([random_matrix(n, rng) for n in dims])
     d = BlockOperator([random_selfadjoint(n, rng, 2.0) for n in dims])
     triple = make_triple(alg, {"1": alg.identity(), "a": a}, d)
+    triple.commutator_norms  # computed on first read: before the counting starts
     seen = []
     for size in (1e-3, 1.0, 30.0):
         b = BlockOperator([random_matrix(n, rng, size) for n in dims])
@@ -747,6 +751,18 @@ def test_class_results_are_built_by_checked_class_of():
             and node.func.id == "CheckedClass"
         ]
         assert direct == [], path.name
+
+
+def test_the_package_imports_without_scipy():
+    """vnflow needs NumPy alone: importing it, or its CLI, loads no SciPy."""
+    code = (
+        "import sys, vnflow, vnflow.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # -- every eigendecomposition of an operator goes through _eig ------------------

@@ -9,8 +9,11 @@ SVD gives both kernels, and how many decompositions each route takes.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,9 +38,10 @@ from vnflow import (
     sf_unitary,
     unitary_log,
 )
-from vnflow.model import _quotient
+from vnflow.model import DEFAULT_TOL, _quotient
+from vnflow.pairing import _LOG_TOL
 
-from conftest import haar_unitary, random_matrix
+from conftest import haar_unitary, random_matrix, random_projection
 
 _EPS = np.finfo(float).eps
 # few levels, so that eigenvalues and singular values repeat within a block
@@ -140,19 +144,98 @@ def test_unitary_log_of_cyclic_shifts_keeps_its_spectrum_below_one(k):
         assert np.linalg.eigvalsh(q.blocks[0]).max() <= 1.0 - 1e-12, n
 
 
+# fixed angle levels of the hard spectra: degenerate, and within 1e-13 of the
+# branch cut on either side; "three-valued" draws three levels per block and
+# "generic" draws every angle
+_LEVELS_OF = {
+    "plus-minus-one": (0.0, np.pi),
+    "identity": (0.0,),
+    "at the cut": (0.0, 1e-13, -1e-13, 4e-14, -4e-14, np.pi / 2),
+}
+
+
+@st.composite
+def hard_unitaries(draw):
+    """Ideal and non-ideal blocks of mixed dimensions (so stacks of several
+    blocks), each a unitary ``v diag(e^(i theta)) v*`` of one kind of
+    spectrum (the identity exactly), with a projection that commutes with it
+    on the non-ideal blocks and is random on the ideal ones."""
+    dims = draw(st.lists(st.sampled_from((1, 2, 3, 5, 8)), min_size=1, max_size=5))
+    ideal = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us, ps = [], []
+    for n, in_ideal in zip(dims, ideal):
+        kind = draw(st.sampled_from(("three-valued", "generic", *_LEVELS_OF)))
+        v = haar_unitary(n, rng)
+        if kind == "generic":
+            theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        else:
+            levels = _LEVELS_OF.get(kind) or tuple(rng.uniform(0.0, 2.0 * np.pi, 3))
+            theta = np.array([draw(st.sampled_from(levels)) for _ in range(n)])
+        u = (v * np.exp(1j * theta)) @ v.conj().T
+        us.append(np.eye(n, dtype=complex) if kind == "identity" else u)
+        kept = v[:, : draw(st.integers(0, n))]
+        ps.append(random_projection(n, kept.shape[1], rng) if in_ideal else kept @ kept.conj().T)
+    alg = VnAlgebra(Block(n, in_ideal=i) for n, i in zip(dims, ideal))
+    return alg, BlockOperator(us), BlockOperator(ps)
+
+
+def _svd_class(lift: BlockOperator, alg: VnAlgebra) -> tuple[int, ...]:
+    """dim N(L) - dim N(L*) on each ideal block, from numpy's singular values
+    at the kernel cut.  A finite block has an index of 0, so this is the class
+    every pairing on the model must report."""
+    cut = DEFAULT_TOL.kernel_eps(lift.norm())
+    ranks = []
+    for i in alg.ideal_indices:
+        block = lift.blocks[i]
+        ker, coker = (
+            np.count_nonzero(np.linalg.svd(m, compute_uv=False) <= cut)
+            for m in (block, block.conj().T)
+        )
+        ranks.append(ker - coker)
+    return tuple(ranks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hard_unitaries())
+def test_unitary_log_of_hard_spectra(case):
+    alg, u, p = case
+    q = unitary_log(u)
+    for w, _ in q._seed:
+        assert np.all(w >= 0.0) and np.all(w < 1.0)
+    for n, block in zip(q.dims, q.blocks):
+        w = np.linalg.eigvalsh(block)
+        assert w.min() >= -8 * n * _EPS and w.max() <= 1.0 - 1e-12
+    _reconstructs(q)
+    assert (q.apply(lambda w: np.exp(2j * np.pi * w)) - u).norm() <= _LOG_TOL
+
+    data = make_pairing_data(alg, p, u)
+    one = alg.identity()
+    assert pairing_via_boundary(data).ranks == _svd_class(p @ u @ p + (one - p), alg)
+
+
 # -- how many decompositions each route takes ------------------------------------
 
 
 def _counting(monkeypatch) -> dict[str, list]:
-    calls: dict[str, list] = {}
-    for name in ("eigh", "eigvalsh", "svd"):
-        calls[name] = []
+    """Record the calls of each decomposition: numpy's eigh, eigvalsh and svd,
+    SciPy's Schur form, and spectral norms (``np.linalg.norm`` with ord 2)."""
+    calls: dict[str, list] = {name: [] for name in ("eigh", "eigvalsh", "svd", "schur", "norm2")}
+    kernels = [(np.linalg, name) for name in ("eigh", "eigvalsh", "svd")]
+    for module, name in kernels + [(scipy.linalg, "schur")]:
 
-        def counted(a, *args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+        def counted(a, *args, _name=name, _kernel=getattr(module, name), **kwargs):
             calls[_name].append(np.shape(a))
             return _kernel(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
+
+    def norm(a, *args, _kernel=np.linalg.norm, **kwargs):
+        if (args[0] if args else kwargs.get("ord")) == 2:
+            calls["norm2"].append(np.shape(a))
+        return _kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
     return calls
 
 
@@ -166,25 +249,35 @@ def _budget(calls: dict[str, list]) -> dict[str, int]:
 def test_route_budgets_on_a_single_block_dirac_triple(monkeypatch):
     calls = _counting(monkeypatch)
     triple, u = dirac_circle(6, 2)  # the cyclic shift on a window has class 0
-    # D once, read by its bounded transform; chi(F) reads F's seed
-    assert _budget(calls) == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+    # D once, read by its bounded transform; chi(F) reads F's seed; the
+    # commutator norms wait for their first read
+    assert _budget(calls) == {"eigh": 1, "eigvalsh": 0, "svd": 0, "schur": 0, "norm2": 0}
 
     # one kernel pair per route, and two range intersections in the corner
     assert sf_unitary(triple, u).ranks == (0,)
-    assert _budget(calls) == {"eigh": 2, "eigvalsh": 0, "svd": 3}
+    assert _budget(calls) == {"eigh": 2, "eigvalsh": 0, "svd": 3, "schur": 0, "norm2": 0}
 
     # two bounded transforms of D + A_t, and two range intersections
     path = OperatorPath.linear(triple.alg.zero(), u.H @ triple.D @ u - triple.D)
     assert sf_unbounded(triple, path).ranks == (0,)
-    assert _budget(calls) == {"eigh": 4, "eigvalsh": 0, "svd": 0}
+    assert _budget(calls) == {"eigh": 4, "eigvalsh": 0, "svd": 0, "schur": 0, "norm2": 0}
 
-    # q keeps its Schur basis, so exp, cos and sin of q take no eigh; one
-    # kernel pair for the lift and one for the intermediate operator
+    # q is built from one eigvalsh of (u + u*)/2 and one eigh of a Cayley
+    # transform, and keeps that basis, so exp, cos and sin of q take no more;
+    # one kernel pair for the lift and one for the intermediate operator
     data = make_pairing_data(triple.alg, triple.p, u)
     assert pairing_via_boundary(data).ranks == (0,)
-    assert _budget(calls) == {"eigh": 0, "eigvalsh": 0, "svd": 2}
+    assert _budget(calls) == {"eigh": 1, "eigvalsh": 1, "svd": 2, "schur": 0, "norm2": 0}
 
     # library projections carry their ranks
     assert block_ranks(triple.p) == (7,)
     assert block_ranks(null_projection(triple.D)) == (1,)
-    assert _budget(calls) == {"eigh": 0, "eigvalsh": 0, "svd": 1}
+    assert _budget(calls) == {"eigh": 0, "eigvalsh": 0, "svd": 1, "schur": 0, "norm2": 0}
+
+    # the commutator norms of u and u* on first read; that of the unit is 0
+    # without a norm, and a second read takes none
+    assert triple.commutator_norms["1"] == 0.0
+    assert _budget(calls)["norm2"] == 2
+    assert triple.commutator_norms["u"] > 0.0
+    assert _budget(calls)["norm2"] == 0
+    assert isinstance(triple.commutator_norms, MappingProxyType)

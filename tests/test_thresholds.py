@@ -224,10 +224,9 @@ def test_a_failing_corner_check_reports_the_exact_bound():
     assert f"> {bound:.3e}" in str(err.value)
 
 
-def test_a_checks_document_eigendecomposes_d_once_for_its_integrals(tmp_path, monkeypatch):
-    """Three generators make nine resolvent integrals; D is eigendecomposed
-    once, by make_triple, for all of them and for its bounded transform, and
-    each residual is the one computed from the operators on a fresh triple."""
+def _checks_document(tmp_path):
+    """A ``checks`` document of the Dirac model with generators 1, u and u*,
+    its file, and its operators decoded."""
     model = tmp_path / "dirac.json"
     assert main(["generate", "dirac", "--m", "3", "--k", "2", "--out", str(model)]) == 0
     doc = json.loads(model.read_text())
@@ -238,7 +237,14 @@ def test_a_checks_document_eigendecomposes_d_once_for_its_integrals(tmp_path, mo
     def decode(blocks):
         return BlockOperator([np.array([[complex(*z) for z in row] for row in b]) for b in blocks])
 
-    ops = {name: decode(blocks) for name, blocks in doc["operators"].items()}
+    return doc, doc_file, {name: decode(blocks) for name, blocks in doc["operators"].items()}
+
+
+def test_a_checks_document_eigendecomposes_d_once_for_its_integrals(tmp_path, monkeypatch):
+    """Three generators make nine resolvent integrals; D is eigendecomposed
+    once, by make_triple, for all of them and for its bounded transform, and
+    each residual is the one computed from the operators on a fresh triple."""
+    doc, doc_file, ops = _checks_document(tmp_path)
     d = ops[doc["triple"]["D"]].blocks[0]
     d_herm = _herm(d)
     eigh, calls = np.linalg.eigh, []
@@ -263,3 +269,23 @@ def test_a_checks_document_eigendecomposes_d_once_for_its_integrals(tmp_path, mo
             triple = make_triple(alg, {n: ops[n] for n in names}, ops[doc["triple"]["D"]])
             check = resolvent_integral_check(triple, ops[a], ops[b])
             assert residuals[f"{a},{b}"] == check.residual
+
+
+def test_a_checks_document_takes_each_commutator_norm_once(tmp_path, monkeypatch):
+    """The triple's commutator norms are computed on first read, once for all
+    nine integrals: one spectral norm each for [D, u] and [D, u*], none for
+    the zero commutator of the unit."""
+    doc, doc_file, ops = _checks_document(tmp_path)
+    d = ops[doc["triple"]["D"]]
+    commutators = [(d @ ops[n] - ops[n] @ d).blocks[0] for n in doc["triple"]["generators"]]
+    norm, calls = np.linalg.norm, []
+
+    def counting(x, *args, **kwargs):
+        if (args[0] if args else kwargs.get("ord")) == 2 and np.shape(x)[-2:] == d.dims * 2:
+            if any(np.array_equal(np.reshape(x, d.dims * 2), c) for c in commutators):
+                calls.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    assert main(["run", str(doc_file), "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 2
