@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -527,7 +528,9 @@ def run_task(doc: dict, args: argparse.Namespace) -> tuple[dict, Any]:
 # -- entry point --------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vnflow",
         description="K-class valued spectral flow and index computations on block models",

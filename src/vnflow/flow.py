@@ -4,8 +4,12 @@ The pipeline has three stages: certify that the whole path stays quotient
 invertible (adaptive gap monitoring with a Weyl-type certificate on the
 piecewise linear segments), partition it from that certificate so that the
 quotient spectral projections provably stay within distance 1/2 on every
-interval, and evaluate the defining sum of kernel-intersection classes.  The
-closed form over the whole partition must agree with the sum.
+interval, and evaluate the defining sum of kernel-intersection classes.  Each
+step's term is the relative index [P ∧ (1 - Q)] - [(1 - P) ∧ Q] of the
+projections P and Q at its ends; both spaces are eigenspaces of P - Q, for
+the eigenvalues 1 and -1, so one eigendecomposition gives the pair
+(``relative_kernels``).  The closed form over the whole partition must agree
+with the sum.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .model import (
     k0_of_difference,
     tau_star,
 )
-from .projections import chi, kernel_pair, proj_intersection
+from .projections import chi, kernel_pair, proj_intersection, relative_kernels
 
 __all__ = [
     "PathCertificate",
@@ -229,13 +233,11 @@ def _flow_over_partition(
     path: OperatorPath, alg: VnAlgebra, partition: list[float], tol: Tolerances
 ) -> tuple[K0Class, list[K0Class], K0Class]:
     """The defining sum, its per-step terms and the closed form over a partition."""
-    one = alg.identity()
     projections = [chi(path.at(t), tol) for t in partition]
-    contributions = []
-    for prev, cur in zip(projections, projections[1:]):
-        leaving = proj_intersection(one - cur, prev, tol)
-        entering = proj_intersection(one - prev, cur, tol)
-        contributions.append(k0_of_difference(leaving, entering, alg, tol))
+    contributions = [
+        k0_of_difference(*relative_kernels(prev, cur, tol), alg, tol)
+        for prev, cur in zip(projections, projections[1:])
+    ]
     total = sum(contributions, K0Class.zero(alg.n_ideal))
 
     # no name keeps the product, or a kernel once intersected, alive

@@ -49,8 +49,8 @@ class Tolerances:
     ``proj`` and ``kernel`` are relative factors: the effective projection
     tolerance for an operand of norm ``n`` is ``proj * (1 + n)`` and the
     effective kernel threshold is ``kernel * max(1, n)``.  ``gap`` (Fredholm
-    gap) and ``intersection`` (eigenvalue-2 selection) are absolute.
-    ``margin`` and ``max_depth`` drive the partition search.
+    gap) and ``intersection`` (eigenvalue 2 of p + q, and +-1 of p - q) are
+    absolute.  ``margin`` and ``max_depth`` drive the partition search.
     """
 
     proj: float = 1e-8
@@ -398,8 +398,9 @@ class BlockOperator:
     the stacks are copies of the input blocks.  The norm and the selfadjoint /
     projection / unitary defects (spectral norms) are cached on first use.
     The ``is_*`` and ``require_*`` checks first screen the defect matrices with
-    Frobenius norms and pass without an SVD when those prove the defect small
-    enough; otherwise they compare, and report, the spectral defect.
+    one Frobenius norm over all of them and pass without an SVD when it proves
+    the defect small enough; otherwise they compare, and report, the spectral
+    defect.
     ``apply`` and ``spectral_projection`` act on the Hermitian part of each
     block.
     """
@@ -473,12 +474,20 @@ class BlockOperator:
         """Projection onto the eigenvectors of the Hermitian part whose
         eigenvalues pass the elementwise boolean mask ``keep``, with the mask
         counts as its ranks."""
-        stacks, ranks = [], []
+        return self.spectral_projections(keep)[0]
+
+    def spectral_projections(
+        self, *keeps: Callable[[np.ndarray], np.ndarray]
+    ) -> list["BlockOperator"]:
+        """One ``spectral_projection`` per mask of ``keeps``, all from one
+        eigendecomposition of each stack, taken one stack at a time."""
+        stacks, ranks = [[] for _ in keeps], [[] for _ in keeps]
         for w, v in self._eig():
-            mask = keep(w)
-            stacks.append(_projector(mask, lambda rows, kept: _gram(v[rows][..., kept])))
-            ranks.append(np.count_nonzero(mask, axis=-1))
-        return self._like(stacks, ranks=ranks)
+            for keep, out, counts in zip(keeps, stacks, ranks):
+                mask = keep(w)
+                out.append(_projector(mask, lambda rows, kept: _gram(v[rows][..., kept])))
+                counts.append(np.count_nonzero(mask, axis=-1))
+        return [self._like(st, ranks=r) for st, r in zip(stacks, ranks)]
 
     # -- basic queries ---------------------------------------------------------
 
@@ -553,12 +562,12 @@ class BlockOperator:
         """``None`` when a Frobenius screen proves the ``kind`` check passes, else
         the spectral defect and its bound (``eps`` if given, else
         ``tol.proj_eps(norm)``, the norm taken only for a defect above
-        ``tol.proj``).  The screen asks for a largest Frobenius norm
-        (>= spectral) over the defect matrices of at most half the smallest
-        bound, ``tol.proj`` or ``eps``; the half covers rounding in both norms.
-        That largest norm is cached, so a later check with another bound reuses
-        it.  Bounds below 1e-140 are not screened: the summed squares could
-        underflow."""
+        ``tol.proj``).  The screen is one Frobenius norm over all the defect
+        matrices, ``sqrt(sum ||m||_F^2)``, at least every block's spectral
+        defect; it passes at most half the smallest bound, ``tol.proj`` or
+        ``eps``, the half covering rounding in both norms.  That norm is
+        cached, so a later check with another bound reuses it.  Bounds below
+        1e-140 are not screened: the summed squares could underflow."""
         floor = tol.proj if eps is None else eps
         cache = self._cache
         if kind not in cache:
@@ -566,7 +575,7 @@ class BlockOperator:
             if floor >= 1e-140:
                 if ("fro", kind) not in cache:
                     mats = self._defect_matrices(kind)
-                    cache["fro", kind] = _largest(_frobenius(m) for m in mats)
+                    cache["fro", kind] = math.sqrt(sum(np.vdot(m, m).real for m in mats))
                 if cache["fro", kind] <= 0.5 * floor:
                     return None
             cache[kind] = _max_norm(self._defect_matrices(kind) if mats is None else mats)

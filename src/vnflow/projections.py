@@ -24,6 +24,7 @@ __all__ = [
     "kernel_pair",
     "range_projection",
     "proj_intersection",
+    "relative_kernels",
     "nearest_projection",
     "range_basis",
 ]
@@ -109,6 +110,25 @@ def proj_intersection(
     cut = 2.0 - tol.intersection
     total = p + q
     return total.spectral_projection(lambda w: w > cut)
+
+
+def relative_kernels(
+    p: BlockOperator, q: BlockOperator, tol: Tolerances = DEFAULT_TOL
+) -> tuple[BlockOperator, BlockOperator]:
+    """The projections onto ``p ∧ (1 - q)`` and ``(1 - p) ∧ q``, from one
+    Hermitian eigendecomposition of ``p - q``.
+
+    For projections, ``||p - q|| <= 1``, and a unit vector with
+    ``(p - q) x = x`` has ``<p x, x> = 1`` and ``<q x, x> = 0``, so ``p x = x``
+    and ``q x = 0``; the two spaces are the eigenvalue +1 and -1 eigenspaces
+    of ``p - q`` (Avron, Seiler and Simon, J. Funct. Anal. 120, 1994), kept
+    above ``1 - intersection`` and below ``-(1 - intersection)``.  They equal
+    ``proj_intersection(p, 1 - q)`` and ``proj_intersection(1 - p, q)``.
+    """
+    p.require_projection("first intersection argument", tol)
+    q.require_projection("second intersection argument", tol)
+    cut = 1.0 - tol.intersection
+    return tuple((p - q).spectral_projections(lambda w: w > cut, lambda w: w < -cut))
 
 
 def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:

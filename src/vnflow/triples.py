@@ -42,7 +42,7 @@ from .model import (
     check_support,
     quotient_norm,
 )
-from .projections import chi, proj_intersection
+from .projections import chi, relative_kernels
 from .corner import boundary_map, boundary_map_result, corner_index
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
     "pushforward_sf",
 ]
 
-_INTEGRAL_TARGET = 1e-8  # error budget of the resolvent-integral quadrature
+_INTEGRAL_TARGET = 1e-8  # resolvent-integral quadrature budget at direct norms up to 10
 _LEVEL_VALUES = 2**20  # integrand values one level of that quadrature may evaluate
 _DRIFT_SAMPLES = 9  # equally spaced drift samples of sf_unbounded, besides the keyframes
 
@@ -252,15 +252,26 @@ def resolvent_integral_check(
     (2/pi)(1 + lambda) r_k once per distinct w_k^2.  Their error e moves the
     result by at most 2 max|e| ||b|| ||C||_F <= 2 max|w| ||a||_F ||b|| max|e|,
     C_ij = w_i a'_ij where w_i^2 != w_j^2, else 0 (equal squares share an
-    integral), and the budget is divided by that factor.  ``evaluations``
-    counts nodes.  Returns the norm of the difference from the direct formula;
-    a generator ``a`` given by name uses the recorded ||[D, a]||.
+    integral), and the budget is divided by that factor.  The budget, which
+    also fixes the truncation angle, is a thousandth of the pass bound
+    max(1e-5, 1e-6 ||direct||), so the direct formula is formed first.
+    ``evaluations`` counts nodes.  Returns the norm of the difference from the
+    direct formula; a generator ``a`` given by name uses the recorded ||[D, a]||.
     """
     name = a if isinstance(a, str) else None
     a, b = (triple.generator(x) if isinstance(x, str) else x for x in (a, b))
     d, alg = triple.D, triple.alg
     alg.require_conformal(a)
     alg.require_conformal(b)
+
+    eig = list(d._eig())
+    direct = []
+    for (w, v), ab, bb, db in zip(eig, a._stacks, b._stacks, d._stacks):
+        inv_sqrt = (v / np.sqrt(1.0 + w * w)[..., None, :]) @ v.conj().mT
+        direct.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
+    direct_norm = _max_norm(direct)
+    bound = max(1000.0 * _INTEGRAL_TARGET, 1e-6 * direct_norm)
+    budget = bound / 1000.0  # _INTEGRAL_TARGET for a direct norm up to 10
 
     commutator_norm = (d @ a - a @ d).norm() if name is None else triple.commutator_norms[name]
     scale = commutator_norm * b.norm()
@@ -271,12 +282,11 @@ def resolvent_integral_check(
         theta_max = 0.25 * math.pi
         truncation = 0.0
     else:
-        tail_angle = min(0.5 * _INTEGRAL_TARGET * math.pi / (5.0 * scale), 0.25 * math.pi)
+        tail_angle = min(0.5 * budget * math.pi / (5.0 * scale), 0.25 * math.pi)
         theta_max = 0.5 * math.pi - tail_angle
         truncation = (5.0 * scale / math.pi) * tail_angle
     lambda_max = math.tan(theta_max) ** 2
 
-    eig = list(d._eig())
     squares = np.unique(np.concatenate([(w * w).ravel() for w, _ in eig]))
     idx = [np.searchsorted(squares, w * w) for w, _ in eig]  # w_k^2 = squares[idx[k]]
     primes = [v.conj().mT @ ab @ v for (_, v), ab in zip(eig, a._stacks)]  # a' = V* a V
@@ -289,19 +299,14 @@ def resolvent_integral_check(
         _frobenius(np.where(r[..., None] == r[..., None, :], 0.0, w[..., None] * ap))
         for (w, _), r, ap in zip(eig, idx, primes)
     )
-    eps_rate = 0.5 * _INTEGRAL_TARGET / (theta_max * transfer) if transfer else math.inf
+    eps_rate = 0.5 * budget / (theta_max * transfer) if transfer else math.inf
     g, evaluations = _adaptive_simpson(integrand, theta_max, eps_rate)
 
-    total, direct = [], []
-    for (w, v), r, ap, ab, bb, db in zip(eig, idx, primes, a._stacks, b._stacks, d._stacks):
-        vh = v.conj().mT
-        total.append(v @ (w[..., None] * (g[r][..., None] - g[r][..., None, :]) * ap) @ vh @ bb)
-        inv_sqrt = (v / np.sqrt(1.0 + w * w)[..., None, :]) @ vh
-        direct.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
-
+    total = [
+        v @ (w[..., None] * (g[r][..., None] - g[r][..., None, :]) * ap) @ v.conj().mT @ bb
+        for (w, v), r, ap, bb in zip(eig, idx, primes, b._stacks)
+    ]
     residual = _max_norm(t - dst for t, dst in zip(total, direct))
-    direct_norm = _max_norm(direct)
-    bound = max(1000.0 * _INTEGRAL_TARGET, 1e-6 * direct_norm)
     check_residual("resolvent integral residual", residual, bound, NumericsError)
     return IntegralCheck(residual, direct_norm, truncation, lambda_max, evaluations)
 
@@ -362,7 +367,8 @@ def sf_unbounded_result(
     at every keyframe, and its largest value is returned as ``quotient_drift``.
     The class depends on the endpoints only and is the usual difference of
     kernel intersections of the endpoint spectral projections, carried as
-    ``kernel`` ((1 - p1) meet p0) and ``cokernel`` ((1 - p0) meet p1).
+    ``kernel`` ((1 - p1) meet p0) and ``cokernel`` ((1 - p0) meet p1), both
+    from one eigendecomposition of p0 - p1 (``relative_kernels``).
     """
     alg = triple.alg
     for t, op in a_path.keyframes:
@@ -380,9 +386,7 @@ def sf_unbounded_result(
         drift = quotient_norm(ft - f0, alg)
         worst = max(worst, check_residual(what, drift, tol.gap, ModelError, t=t))
 
-    p0, p1 = chi(f0, tol), chi(ft, tol)
-    one = alg.identity()
-    leaving, entering = proj_intersection(one - p1, p0, tol), proj_intersection(one - p0, p1, tol)
+    leaving, entering = relative_kernels(chi(f0, tol), chi(ft, tol), tol)
     return CheckedClass.of(leaving, entering, alg, tol, quotient_drift=worst)
 
 

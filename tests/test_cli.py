@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnflow.cli import (
+    _build_parser,
     canonical_json,
     encode_algebra,
     encode_operator,
@@ -62,6 +63,33 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(["run", doc, "--out", str(out1)]) == 0
     assert main(["run", doc, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_repeated_main_calls_share_one_parser_and_repeat_their_output(tmp_path, capsys):
+    """The parser is built once per process; every call, including the error
+    calls, exits and prints the same the second time round."""
+    doc = _write(tmp_path, "task.json", _calibration_doc())
+    bad = _write(tmp_path, "bad.json", {"task": "no_such_task"})
+    report = tmp_path / "report.json"
+    calls = [
+        ["run", doc, "--out", str(report)],
+        ["run", bad],
+        ["run"],  # the parser's own error: no task file
+        ["generate", "dirac", "--m", "2", "--k", "1"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err, report.read_bytes()
+
+    first = [outcome(argv) for argv in calls]
+    assert [code for code, *_ in first] == [0, 2, ("exit", 2), 0]
+    assert [outcome(argv) for argv in calls] == first
+    assert _build_parser() is _build_parser()
 
 
 def test_tracks_csv(tmp_path):

@@ -250,15 +250,20 @@ def _matrix_quadrature(triple, a: BlockOperator, b: BlockOperator) -> IntegralCh
     direct formula: an independent reference for the scalar route."""
     d = triple.D
     eig = [np.linalg.eigh(_herm(m)) for m in d.blocks]
+    parts = list(zip(eig, a.blocks, b.blocks, d.blocks))
+    direct = []
+    for (w, v), ab, bb, db in parts:
+        inv_sqrt = (v / np.sqrt(1.0 + w * w)) @ v.conj().T
+        direct.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
+    # a thousandth of the pass bound, as in the check
+    target = max(1000.0 * triples._INTEGRAL_TARGET, 1e-6 * _max_spectral(direct)) / 1000.0
     scale = (d @ a - a @ d).norm() * b.norm()
-    target = triples._INTEGRAL_TARGET
     if scale == 0.0:
         theta_max, truncation = 0.25 * math.pi, 0.0
     else:
         tail_angle = min(0.5 * target * math.pi / (5.0 * scale), 0.25 * math.pi)
         theta_max = 0.5 * math.pi - tail_angle
         truncation = (5.0 * scale / math.pi) * tail_angle
-    parts = list(zip(eig, a.blocks, b.blocks, d.blocks))
 
     def integrand(theta):
         lam = math.tan(theta) ** 2
@@ -276,10 +281,6 @@ def _matrix_quadrature(triple, a: BlockOperator, b: BlockOperator) -> IntegralCh
     total = _matrix_simpson(
         integrand, 0.0, theta_max, fa, fm, fb, whole, 0.5 * target / theta_max, 44, counter
     )
-    direct = []
-    for (w, v), ab, bb, db in parts:
-        inv_sqrt = (v / np.sqrt(1.0 + w * w)) @ v.conj().T
-        direct.append(db @ (inv_sqrt @ ab - ab @ inv_sqrt) @ bb)
     residual = _max_spectral(t - x for t, x in zip(total, direct))
     return IntegralCheck(
         residual, _max_spectral(direct), truncation, math.tan(theta_max) ** 2, counter[0]
@@ -429,12 +430,46 @@ def test_adaptive_simpson_stops_at_depth_44():
 
 
 def test_a_budget_below_rounding_raises_instead_of_refining_without_end():
+    """A tight cluster of large eigenvalues of one sign: the direct formula is
+    about 1e-6 ||a|| ||b||, so the budget stays at 1e-8, while the error
+    transfer is about 2e6 ||a|| ||b|| and puts the divided budget below
+    rounding."""
     rng = np.random.default_rng(4)
     alg = VnAlgebra([Block(dim=4)])
     a = BlockOperator([random_matrix(4, rng, 1e3)])
-    triple = make_triple(alg, {"1": alg.identity(), "a": a}, BlockOperator([np.diag([1e6, -2e6, 3e6, -4e6])]))
+    d = BlockOperator([np.diag([1e6, 1e6 + 1, 1e6 + 2, 1e6 + 3])])
+    triple = make_triple(alg, {"1": alg.identity(), "a": a}, d)
     with pytest.raises(NumericsError, match="quadrature level values"):
         resolvent_integral_check(triple, "a", BlockOperator([random_matrix(4, rng, 1e3)]))
+
+
+def _large_norm_triple(case: str):
+    if case == "dense":  # ||D|| about 3e4, ||a||, ||b|| about 5e2
+        rng = np.random.default_rng(0)
+        alg = VnAlgebra([Block(dim=6)])
+        d = BlockOperator([random_selfadjoint(6, rng, 1e4)])
+        a = BlockOperator([random_matrix(6, rng) * 100])
+        b = BlockOperator([random_matrix(6, rng) * 100])
+    else:  # eigenvalues 1e6 to 4e6 of both signs, ||a||, ||b|| about 4e3
+        rng = np.random.default_rng(4)
+        alg = VnAlgebra([Block(dim=4)])
+        a = BlockOperator([random_matrix(4, rng, 1e3)])
+        d = BlockOperator([np.diag([1e6, -2e6, 3e6, -4e6])])
+        b = BlockOperator([random_matrix(4, rng, 1e3)])
+    return make_triple(alg, {"1": alg.identity(), "a": a}, d), b
+
+
+@pytest.mark.parametrize("case", ["dense", "diagonal"])
+def test_large_norm_triples_are_checked_within_their_bound(case):
+    """The quadrature budget is a thousandth of the pass bound
+    max(1e-5, 1e-6 ||direct||), not the absolute 1e-8, so these pass where the
+    absolute budget fell below rounding; the truncated tail is half the
+    budget."""
+    triple, b = _large_norm_triple(case)
+    check = resolvent_integral_check(triple, "a", b)
+    bound = max(1e-5, 1e-6 * check.direct_norm)
+    assert bound > 1e-5 and check.residual <= bound
+    assert check.truncation_bound == pytest.approx(bound / 2000.0, rel=1e-12)
 
 
 def test_tracks_make_one_eigvalsh_call_per_block_dimension(tmp_path, monkeypatch):
@@ -525,6 +560,84 @@ def test_screened_checks_decide_as_the_spectral_comparison(case):
                 BlockOperator(blocks).require_unitary("x", tol, eps)
 
 
+def _block_defects(kind: str, b: np.ndarray) -> list[np.ndarray]:
+    """The defect matrices of one block, as the checks define them."""
+    one = np.eye(len(b))
+    if kind == "sa":
+        return [b - b.conj().T]
+    if kind == "proj":
+        return [b @ b - b, b - b.conj().T]
+    return [b.conj().T @ b - one, b @ b.conj().T - one]
+
+
+def _one_frobenius(kind: str, blocks) -> float:
+    """sqrt of the summed squared Frobenius norms of every block's defects."""
+    return math.sqrt(sum(np.linalg.norm(m) ** 2 for b in blocks for m in _block_defects(kind, b)))
+
+
+@st.composite
+def screen_edges(draw):
+    """A check, tolerances and two to four blocks, every one perturbed (rank
+    one or full rank), scaled so that either the one Frobenius norm over all
+    the defect matrices lies at 0.99 or 1.01 times the screen's threshold,
+    half of ``tol.proj``, or the spectral defect at 0.99 or 1.01 times the
+    check's bound ``tol.proj_eps(norm)``."""
+    kind = draw(st.sampled_from(sorted(_CHECKS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    if kind == "sa":
+        base = [random_selfadjoint(n, rng, 3.0) for n in dims]
+    elif kind == "proj":
+        base = [random_projection(n, int(rng.integers(0, n + 1)), rng) for n in dims]
+    else:
+        base = [haar_unitary(n, rng) for n in dims]
+    tol = Tolerances(proj=10.0 ** draw(st.floats(-10.0, -6.0)))
+    rank_one, on_screen = draw(st.booleans()), draw(st.booleans())
+    factor = draw(st.sampled_from([0.99, 1.01]))
+    moves = []
+    for n in dims:
+        e = random_matrix(n, rng)
+        if rank_one:
+            e = np.outer(e[:, 0], e[0].conj())
+        moves.append(rng.uniform(0.2, 1.0) * e / np.linalg.norm(e, 2))
+
+    def measure(c: float):
+        blocks = [b + c * e for b, e in zip(base, moves)]
+        if on_screen:
+            return blocks, _one_frobenius(kind, blocks), 0.5 * tol.proj
+        op = BlockOperator(blocks)
+        return blocks, getattr(op, _CHECKS[kind][0])(), tol.proj_eps(op.norm())
+
+    c = tol.proj
+    for _ in range(3):  # the defects are linear in c up to O(c^2)
+        _, value, threshold = measure(c)
+        c *= factor * threshold / value
+    return kind, tol, measure(c)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(screen_edges())
+def test_the_screen_passes_only_checks_the_spectral_comparison_passes(case):
+    """The screen passes exactly when the one Frobenius norm over all the
+    defect matrices of all blocks is at most half of ``tol.proj``, and then the
+    spectral defect is within its bound; every other check is decided, and
+    reported, by the spectral defect."""
+    kind, tol, blocks = case
+    defect, is_name, require = _CHECKS[kind]
+    reference = BlockOperator(blocks)
+    value, bound = getattr(reference, defect)(), tol.proj_eps(reference.norm())
+    checked = BlockOperator(blocks)
+    assert getattr(checked, is_name)(tol) == (value <= bound)
+    screened = kind not in checked._cache  # the spectral defect was not taken
+    assert screened == (_one_frobenius(kind, blocks) <= 0.5 * tol.proj)
+    if screened:
+        assert value <= bound
+    if value > bound:
+        with pytest.raises(PreconditionError) as err:
+            getattr(BlockOperator(blocks), require)("x", tol)
+        assert err.value.fields["value"] == value and err.value.fields["bound"] == bound
+
+
 @pytest.mark.parametrize("kind", sorted(_CHECKS))
 def test_nan_blocks_fail_every_check(kind):
     blocks = [np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])]
@@ -555,23 +668,30 @@ def test_infinite_entries_fail_every_check_in_either_block_order(kind, first, co
 
 
 def test_a_passing_screen_is_computed_once(monkeypatch):
+    """The screen sums the squared entries of each defect matrix (one
+    ``np.vdot`` per matrix: ``b b - b`` and ``b - b*`` of each of the two
+    stacks) into one Frobenius norm, takes no ``np.linalg.norm``, and is kept
+    for later checks of the same kind."""
     rng = np.random.default_rng(8)
     p = BlockOperator([random_projection(3, 1, rng), random_projection(2, 1, rng)])
-    frobenius = []
-    norm = np.linalg.norm
+    squares, norms = [], []
+    vdot, norm = np.vdot, np.linalg.norm
 
-    def counting(x, ord=None, *args, **kwargs):
-        if ord is None:
-            frobenius.append(np.shape(x))
-        return norm(x, ord, *args, **kwargs)
+    def counting_vdot(a, b):
+        squares.append(np.shape(a))
+        return vdot(a, b)
 
-    monkeypatch.setattr(np.linalg, "norm", counting)
+    def counting_norm(x, *args, **kwargs):
+        norms.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "vdot", counting_vdot)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
     p.require_projection("p")
-    first = len(frobenius)
-    assert first > 0
+    assert sorted(squares) == [(1, 2, 2), (1, 2, 2), (1, 3, 3), (1, 3, 3)]
     p.require_projection("p", Tolerances(proj=1e-9))
     assert p.is_projection(Tolerances(proj=1e-7))
-    assert len(frobenius) == first
+    assert len(squares) == 4 and norms == []
 
 
 @pytest.mark.parametrize("excess", [1 + 1e-6, 1.5, 1.99])

@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnflow import (
     BlockOperator,
     NumericsError,
     PreconditionError,
     SpectralGapError,
+    block_ranks,
     chi,
     nearest_projection,
     null_projection,
     polar_phase,
     proj_intersection,
     range_projection,
+    relative_kernels,
     weighted_model,
 )
 
@@ -220,6 +224,80 @@ def _expm_skew(h: np.ndarray) -> np.ndarray:
 def test_intersection_rejects_non_projection():
     with pytest.raises(PreconditionError):
         proj_intersection(op(np.diag([0.5, 0.0])), op(np.eye(2)))
+
+
+# -- relative kernels -------------------------------------------------------------
+
+# Per basis vector of a block: in the range of p only, of q only, of both, of
+# neither, or the first of a tilted pair (p holds e_j, q cos(a) e_j + sin(a) e_j+1).
+_ROLES = ("p", "q", "both", "neither", "tilted")
+
+
+@st.composite
+def projection_pairs(draw):
+    """Projections p and q on one to five blocks of dims 1-4 (repeated dims
+    share a stack), built from one Haar basis per block, with the expected
+    ranks of p ∧ (1 - q) and (1 - p) ∧ q per block; ``relation`` makes q
+    equal to p, or 1 - p, instead."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=5))
+    relation = draw(st.sampled_from(["drawn", "drawn", "equal", "complement"]))
+    p_blocks, q_blocks, ranks = [], [], []
+    for n in dims:
+        u = haar_unitary(n, rng)
+        p_mat, q_mat, only = np.zeros((n, n), complex), np.zeros((n, n), complex), [0, 0]
+        j = 0
+        while j < n:
+            role = draw(st.sampled_from(_ROLES))
+            e = u[:, j : j + 1]
+            if role == "tilted" and j + 1 < n:
+                angle = draw(st.floats(0.3, 1.2))
+                f = np.cos(angle) * e + np.sin(angle) * u[:, j + 1 : j + 2]
+                p_mat, q_mat, j = p_mat + e @ e.conj().T, q_mat + f @ f.conj().T, j + 2
+                continue
+            if role in ("p", "both"):
+                p_mat = p_mat + e @ e.conj().T
+            if role in ("q", "both"):
+                q_mat = q_mat + e @ e.conj().T
+            only[0] += role == "p"
+            only[1] += role == "q"
+            j += 1
+        p_blocks.append(p_mat)
+        q_blocks.append(q_mat)
+        ranks.append(only)
+    p = BlockOperator(p_blocks)
+    if relation == "equal":
+        return p, p, [(0, 0)] * len(dims)
+    if relation == "complement":
+        q = BlockOperator([np.eye(n) - m for n, m in zip(dims, p_blocks)])
+        return p, q, [(r, n - r) for n, r in zip(dims, block_ranks(p))]
+    return p, BlockOperator(q_blocks), [tuple(r) for r in ranks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(projection_pairs())
+def test_relative_kernels_are_the_two_intersections(case):
+    p, q, ranks = case
+    one = BlockOperator([np.eye(n) for n in p.dims])
+    kernel, cokernel = relative_kernels(p, q)
+    assert list(zip(block_ranks(kernel), block_ranks(cokernel))) == ranks
+    expected = proj_intersection(p, one - q), proj_intersection(one - p, q)
+    for got, want in zip((kernel, cokernel), expected):
+        assert block_ranks(got) == block_ranks(want)
+        assert got.allclose(want, atol=1e-10)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_relative_kernels_reject_a_non_projection_as_the_intersections_do(first):
+    good, bad = op(np.diag([1.0, 0.0])), op(np.diag([0.5, 0.0]))
+    one = op(np.eye(2))
+    p, q = (bad, good) if first else (good, bad)
+    with pytest.raises(PreconditionError) as want:
+        proj_intersection(p, one - q) if first else proj_intersection(one - p, q)
+    with pytest.raises(PreconditionError) as got:
+        relative_kernels(p, q)
+    assert str(got.value) == str(want.value)
+    assert got.value.fields == want.value.fields
 
 
 # -- nearest projection ------------------------------------------------------------

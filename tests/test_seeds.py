@@ -36,12 +36,13 @@ from vnflow import (
     range_projection,
     sf_unbounded,
     sf_unitary,
+    spectral_flow_result,
     unitary_log,
 )
 from vnflow.model import DEFAULT_TOL, _quotient
 from vnflow.pairing import _LOG_TOL
 
-from conftest import haar_unitary, random_matrix, random_projection
+from conftest import haar_unitary, random_certified_path, random_matrix, random_projection
 
 _EPS = np.finfo(float).eps
 # few levels, so that eigenvalues and singular values repeat within a block
@@ -257,10 +258,11 @@ def test_route_budgets_on_a_single_block_dirac_triple(monkeypatch):
     assert sf_unitary(triple, u).ranks == (0,)
     assert _budget(calls) == {"eigh": 2, "eigvalsh": 0, "svd": 3, "schur": 0, "norm2": 0}
 
-    # two bounded transforms of D + A_t, and two range intersections
+    # two bounded transforms of D + A_t, and one eigendecomposition of
+    # p0 - p1 for both intersections
     path = OperatorPath.linear(triple.alg.zero(), u.H @ triple.D @ u - triple.D)
     assert sf_unbounded(triple, path).ranks == (0,)
-    assert _budget(calls) == {"eigh": 4, "eigvalsh": 0, "svd": 0, "schur": 0, "norm2": 0}
+    assert _budget(calls) == {"eigh": 3, "eigvalsh": 0, "svd": 0, "schur": 0, "norm2": 0}
 
     # q is built from one eigvalsh of (u + u*)/2 and one eigh of a Cayley
     # transform, and keeps that basis, so exp, cos and sin of q take no more;
@@ -281,3 +283,16 @@ def test_route_budgets_on_a_single_block_dirac_triple(monkeypatch):
     assert triple.commutator_norms["u"] > 0.0
     assert _budget(calls)["norm2"] == 0
     assert isinstance(triple.commutator_norms, MappingProxyType)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_flow_takes_one_eigh_per_stack_for_each_point_and_step(monkeypatch, seed):
+    """Per stack: chi at each partition point, one eigendecomposition of
+    P_(i-1) - P_i for both intersections of each step, and the two range
+    intersections of the closed form."""
+    alg, path = random_certified_path(seed)
+    stacks = len(path.keyframes[0][1]._stacks)
+    calls = _counting(monkeypatch)
+    result = spectral_flow_result(path, alg)
+    points = len(result.partition)
+    assert len(calls["eigh"]) == stacks * (points + len(result.steps) + 2)
