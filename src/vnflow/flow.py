@@ -4,46 +4,28 @@ The pipeline has three stages: certify that the whole path stays quotient
 invertible (adaptive gap monitoring with a Weyl-type certificate on the
 piecewise linear segments), partition it from that certificate so that the
 quotient spectral projections provably stay within distance 1/2 on every
-interval, and evaluate the defining sum of kernel-intersection classes.  Each
-step's term is the relative index [P ∧ (1 - Q)] - [(1 - P) ∧ Q] of the
-projections P and Q at its ends; both spaces are eigenspaces of P - Q, for
-the eigenvalues 1 and -1, so one eigendecomposition gives the pair
-(``relative_kernels``).  The closed form over the whole partition must agree
-with the sum.
+interval, and evaluate the defining sum of the relative indices
+[P ∧ (1 - Q)] - [(1 - P) ∧ Q] of the projections at each step's ends.  These,
+and the closed form over the whole partition, are read off principal angles,
+whose cosines are the singular values of overlaps of kept eigenbases (Björck
+and Golub, Math. Comp. 27, 1973), with no projection formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConsistencyError, PartitionError, PathError
-from .model import (
-    DEFAULT_TOL,
-    K0Class,
-    OperatorPath,
-    Tolerances,
-    VnAlgebra,
-    _eigvalsh,
-    _norm_eps,
-    k0_of_difference,
-    tau_star,
-)
-from .projections import chi, kernel_pair, proj_intersection, relative_kernels
+from .errors import ConsistencyError, NotInIdealError, PartitionError, PathError
+from .model import DEFAULT_TOL, K0Class, OperatorPath, Tolerances, VnAlgebra, tau_star
+from .model import _chi_bases, _eigvalsh, _norm_eps, _svd, check_blocks, check_residual
 
 __all__ = [
-    "PathCertificate",
-    "FlowStep",
-    "FlowResult",
-    "certify_path",
-    "find_partition",
-    "spectral_flow",
-    "spectral_flow_result",
-    "numeric_spectral_flow",
+    "PathCertificate", "FlowStep", "FlowResult", "certify_path", "find_partition",
+    "spectral_flow", "spectral_flow_result", "numeric_spectral_flow",
 ]
 
 _CERTIFY_MAX_DEPTH = 48
@@ -98,12 +80,14 @@ class PathCertificate:
 
 @dataclass(frozen=True)
 class FlowStep:
-    """One partition step with its gap witness and K-class contribution."""
+    """One partition step with its gap witness and K-class contribution; its
+    smallest non-ideal principal cosine (1 for none) witnesses the partition."""
 
     t_start: float
     t_end: float
     gap_end: float
     contribution: K0Class
+    min_cosine: float = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -134,9 +118,7 @@ def certify_path(
     for t, op in path.keyframes:
         op.require_selfadjoint(f"keyframe at t = {t:g}", tol)
     if alg.all_ideal:
-        return PathCertificate(
-            vacuous=True, min_gap=math.inf, lipschitz=0.0, samples=path.times
-        )
+        return PathCertificate(vacuous=True, min_gap=math.inf, lipschitz=0.0, samples=path.times)
 
     spectra = _Spectra(path, alg)
     segments: list[tuple[float, float, np.ndarray]] = []
@@ -184,9 +166,7 @@ def certify_path(
 
 
 def find_partition(
-    path: OperatorPath,
-    alg: VnAlgebra,
-    tol: Tolerances = DEFAULT_TOL,
+    path: OperatorPath, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL,
     certificate: PathCertificate | None = None,
 ) -> list[float]:
     """Partition of [0, 1] on whose intervals the quotient spectral
@@ -223,57 +203,76 @@ def find_partition(
             pending += [(mid, b, move / 2.0), (a, mid, move / 2.0)]
         else:
             raise PartitionError(
-                f"cannot certify partition on [{a:.12g}, {b:.12g}] "
-                f"within depth {tol.max_depth}"
+                f"cannot certify partition on [{a:.12g}, {b:.12g}] within depth {tol.max_depth}"
             )
     return cuts + [1.0]
 
 
+def _relative_class(ker, coker, ideal: list, nonideal: list, tol: Tolerances) -> K0Class:
+    """[P ∧ (1 - Q)] - [(1 - P) ∧ Q] from its two dimensions per block.  Off the
+    ideal both must be 0: the spaces are orthogonal, so the norm of the
+    difference of their projections is 1 where one is not."""
+    for k in np.flatnonzero((ker + coker)[nonideal])[:1]:
+        what = "p - q must vanish off the ideal"
+        check_residual(what, 1.0, tol.proj_eps(1.0), NotInIdealError, block=nonideal[k])
+    return K0Class(ker[ideal] - coker[ideal])
+
+
 def _flow_over_partition(
     path: OperatorPath, alg: VnAlgebra, partition: list[float], tol: Tolerances
-) -> tuple[K0Class, list[K0Class], K0Class]:
-    """The defining sum, its per-step terms and the closed form over a partition."""
-    projections = [chi(path.at(t), tol) for t in partition]
-    contributions = [
-        k0_of_difference(*relative_kernels(prev, cur, tol), alg, tol)
-        for prev, cur in zip(projections, projections[1:])
-    ]
-    total = sum(contributions, K0Class.zero(alg.n_ideal))
+) -> tuple[K0Class, list[tuple[K0Class, float]], K0Class]:
+    """The defining sum, its terms with their ``min_cosine``, and the closed form.
 
-    # no name keeps the product, or a kernel once intersected, alive
-    ker, coker = kernel_pair(reduce(lambda acc, p: p @ acc, projections[1:], projections[0]), tol)
-    ker = proj_intersection(ker, projections[0], tol)
-    coker = proj_intersection(coker, projections[-1], tol)
-    closed = k0_of_difference(ker, coker, alg, tol)
-    return total, contributions, closed
+    With ``M_i`` chi's kept eigenbasis at ``t_i`` (``r_i`` columns), ``rho``
+    singular values of ``M_i* M_(i-1)`` lie above ``sqrt(1 - (1 - intersection)^2)``
+    (the cut on the sines, the eigenvalues of P - Q), and the step's spaces have
+    dimensions ``r_(i-1) - rho`` and ``r_i - rho``; the chained overlaps, cut at
+    ``kernel``, the kernel threshold of a contraction, give the closed form alike."""
+    frame = path.at(partition[0])
+    row = np.empty(len(frame.dims), dtype=int)  # each block's row in the stacks
+    row[np.concatenate(frame._groups)] = np.arange(len(row))
+    ideal, nonideal, chain, steps = list(alg.ideal_indices), list(alg.nonideal_indices), None, []
+    cut, bound = math.sqrt(1.0 - (1.0 - tol.intersection) ** 2), 0.5 - tol.margin
+    prev = _chi_bases(frame, tol)
+    first = rank_p = np.concatenate([r for _, r in prev])[row]
+    for t in partition[1:]:
+        cur = _chi_bases(path.at(t), tol)
+        rank_q = np.concatenate([r for _, r in cur])[row]
+        overlaps = [mq.conj().mT @ mp for (mp, _), (mq, _) in zip(prev, cur)]
+        cosines = [_svd(o, compute_uv=False) for o in overlaps]
+        rho = np.concatenate([np.count_nonzero(s > cut, axis=-1) for s in cosines])[row]
+        step = _relative_class(rank_p - rho, rank_q - rho, ideal, nonideal, tol)
+        # off the ideal rho = r_P = r_Q now: the cosines kept are those above the cut
+        least = np.concatenate([np.where(s > cut, s, 1.0).min(-1) for s in cosines])[row][nonideal]
+        sines = np.sqrt(np.maximum(0.0, 1.0 - least * least))
+        check_blocks("principal sine of a step", sines, bound, nonideal, ConsistencyError, t=t)
+        steps.append((step, float(least.min(initial=1.0))))
+        chain = overlaps if chain is None else [o @ c for o, c in zip(overlaps, chain)]
+        prev, rank_p = cur, rank_q
+    total = sum((c for c, _ in steps), K0Class.zero(len(ideal)))
+    sv = [_svd(c, compute_uv=False) for c in chain]
+    rho = np.concatenate([np.count_nonzero(s > tol.kernel, axis=-1) for s in sv])[row]
+    return total, steps, _relative_class(first - rho, rank_p - rho, ideal, nonideal, tol)
 
 
 def spectral_flow_result(
     path: OperatorPath, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL
 ) -> FlowResult:
-    """Certify, partition and evaluate the spectral flow, with full trace.
-
-    The partition sum and the closed-form corner index over the whole
-    partition are both computed; disagreement is an internal error.
-    """
+    """Certify, partition and evaluate the spectral flow, with full trace.  On
+    the ideal blocks the closed form equals the sum by rank-nullity (both are
+    ``r_0 - r_n``); off them it checks the chained overlaps."""
     certificate = certify_path(path, alg, tol)
     partition = find_partition(path, alg, tol, certificate)
     total, contributions, closed = _flow_over_partition(path, alg, partition, tol)
-    if total != closed:
-        raise ConsistencyError(
-            f"partition sum {total.ranks} disagrees with the closed form {closed.ranks}"
-        )
     spectra = certificate.spectra
     steps = tuple(
-        FlowStep(a, b, spectra[b][0] if spectra else math.inf, c)
-        for a, b, c in zip(partition, partition[1:], contributions)
+        FlowStep(a, b, spectra[b][0] if spectra else math.inf, c, cosine)
+        for a, b, (c, cosine) in zip(partition, partition[1:], contributions)
     )
     return FlowResult(total, tuple(partition), steps, closed, certificate)
 
 
-def spectral_flow(
-    path: OperatorPath, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL
-) -> K0Class:
+def spectral_flow(path: OperatorPath, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL) -> K0Class:
     """Spectral flow of a certified path as a K-class of the ideal."""
     return spectral_flow_result(path, alg, tol).k0
 

@@ -211,6 +211,25 @@ def _gram(c: np.ndarray) -> np.ndarray:
     return c @ c.conj().mT
 
 
+def _chi_keep(op: "BlockOperator", tol: Tolerances) -> Callable[[np.ndarray], np.ndarray]:
+    """chi's mask of ``op``'s eigenvalues: down to ``-kernel_eps`` they count
+    as nonnegative, so exact zeros (integer models) land on that side."""
+    return lambda w: w >= -_norm_eps(tol.kernel_eps, tol.kernel, (op,), -w)
+
+
+def _chi_bases(op: "BlockOperator", tol: Tolerances) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The range of ``chi(op)`` without the projection: per stack, the
+    eigenvectors of ``op`` with the columns chi drops zeroed, and the per-block
+    counts of the kept ones."""
+    op.require_selfadjoint("chi argument", tol)
+    keep = _chi_keep(op, tol)
+    out = []
+    for w, v in op._eig():
+        mask = keep(w)
+        out.append((v * mask[..., None, :], np.count_nonzero(mask, axis=-1)))
+    return out
+
+
 # The package's one residual check: every "residual <= tolerance" condition
 # goes through it, so the comparison, the message and the error fields have
 # one form.
@@ -248,10 +267,18 @@ def check_support(
     norms = op._block_norms(blocks)
     if callable(bound):
         bound = bound(norms)
-    worst = 0.0
-    for i, norm in zip(blocks, norms.tolist()):
-        worst = max(worst, check_residual(what, norm, bound, error, block=i))
-    return worst
+    check_blocks(what, norms, bound, blocks, error)
+    return float(norms.max(initial=0.0))
+
+
+def check_blocks(
+    what: str, values: np.ndarray, bound: float, blocks: Sequence[int], error=PreconditionError,
+    **where,
+) -> None:
+    """``check_residual`` of each value, the residual on the block at its place
+    in ``blocks``, in that order: the first that fails raises."""
+    for k in np.flatnonzero(~(values <= bound))[:1]:
+        check_residual(what, float(values[k]), bound, error, block=blocks[k], **where)
 
 
 def _norm_eps(

@@ -4,6 +4,13 @@ Spectral projections, polar phases, kernel projections, range intersections
 and nearest-projection repair.  Every projection returned here is "snapped":
 it is rebuilt from an orthonormal eigen- or singular basis, and carries the
 per-block counts of the vectors it kept as its ranks.
+
+The index routes that form projections here are ``kernel_pair`` (the
+boundary map, the corner index and the pairing), ``relative_kernels``
+(``sf_unbounded_result``) and ``proj_intersection`` (the corner index).  The
+spectral flow forms none: it reads its steps and closed form off principal
+angles between the kept eigenbases of ``model._chi_bases``, which shares
+``chi``'s mask.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from .errors import NumericsError, SpectralGapError
 from .model import DEFAULT_TOL, BlockOperator, Tolerances
-from .model import _gram, _norm_eps, _projector, _svd
+from .model import _chi_keep, _gram, _norm_eps, _projector, _svd
 
 __all__ = [
     "chi",
@@ -37,9 +44,7 @@ def chi(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
     (integer models) land in the positive side deterministically.
     """
     op.require_selfadjoint("chi argument", tol)
-    return op.spectral_projection(
-        lambda w: w >= -_norm_eps(tol.kernel_eps, tol.kernel, (op,), -w)
-    )
+    return op.spectral_projection(_chi_keep(op, tol))
 
 
 # The projections onto the kept right and left singular vectors, and the phase.

@@ -2,30 +2,41 @@
 
 from __future__ import annotations
 
+import json
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vnflow import (
     DEFAULT_TOL,
     BlockOperator,
+    ConsistencyError,
+    NotInIdealError,
     OperatorPath,
     PathError,
+    block_ranks,
     certify_path,
     chi,
     crossing_oracle,
     find_partition,
+    flow,
     numeric_spectral_flow,
+    relative_kernels,
     spectral_flow,
     spectral_flow_result,
     tau_star,
     weighted_model,
 )
+from vnflow.cli import encode_algebra, encode_operator, main
 from vnflow.flow import _flow_over_partition
 
 from conftest import (
     endpoint_rank_oracle,
+    haar_unitary,
     op,
     random_certified_path,
     random_selfadjoint,
@@ -175,17 +186,21 @@ def test_partition_depth_exhaustion():
         find_partition(path, alg)
 
 
-def test_partition_refines_under_quotient_rotation():
-    rng = np.random.default_rng(2)
-    alg = single_block_alg(2, ideal=False)
-    rot = rotation_path(2, rng, speed=2.6)
+def _rotating_projection_path() -> OperatorPath:
+    """A non-ideal 2 x 2 block whose eigenbasis turns, so its chi turns with it."""
+    rot = rotation_path(2, np.random.default_rng(2), speed=2.6)
 
     def frame(t):
         v = rot(t)
         mat = (v * np.array([1.0, -1.0])) @ v.conj().T
         return BlockOperator([0.5 * (mat + mat.conj().T)])
 
-    path = OperatorPath.from_function(frame, np.linspace(0, 1, 9))
+    return OperatorPath.from_function(frame, np.linspace(0, 1, 9))
+
+
+def test_partition_refines_under_quotient_rotation():
+    alg = single_block_alg(2, ideal=False)
+    path = _rotating_projection_path()
     parts = find_partition(path, alg)
     assert len(parts) > 2
     # refining the partition does not change the class
@@ -391,3 +406,124 @@ def test_flow_matches_crossing_oracle_all_ideal():
     path = OperatorPath.from_function(frame, np.linspace(0, 1, 17))
     oracle = crossing_oracle(path, 1500, alg=alg)
     assert numeric_spectral_flow(path, alg) == float(oracle)
+
+
+# -- the relative index of a step from principal angles ------------------------------
+
+# the principal cosine below which a step's two ranges count as meeting at a
+# right angle: the cut 1 - intersection on the sines, the eigenvalues of P - Q
+_CUT = math.sqrt(1.0 - (1.0 - DEFAULT_TOL.intersection) ** 2)
+_PROMISE = math.sqrt(1.0 - (0.5 - DEFAULT_TOL.margin) ** 2)
+
+
+@st.composite
+def projection_pairs(draw):
+    """A block of projections P and Q in a Haar-random basis with prescribed
+    principal angles, and the dimensions of P ∧ (1 - Q) and (1 - P) ∧ Q: shared
+    vectors, vectors of P or Q alone, and pairs at a generic angle or with
+    cosine at 0.99 or 1.01 times the cut."""
+    common, p_only, q_only, free = (draw(st.integers(0, 2)) for _ in range(4))
+    pairs = draw(st.lists(st.sampled_from([None, 0.99, 1.01]), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = common + p_only + q_only + free + 2 * len(pairs)
+    assume(n > 0)
+    eye = np.eye(n)
+    p_cols = list(range(common + p_only))
+    q_cols = [eye[:, i] for i in range(common)]
+    q_cols += [eye[:, i] for i in range(common + p_only, common + p_only + q_only)]
+    for k, factor in enumerate(pairs):
+        a = common + p_only + q_only + 2 * k
+        cos = rng.uniform(0.01, 0.99) if factor is None else factor * _CUT
+        p_cols.append(a)
+        q_cols.append(cos * eye[:, a] + math.sqrt(1.0 - cos * cos) * eye[:, a + 1])
+    u = haar_unitary(n, rng)
+    vp, vq = u @ eye[:, p_cols], u @ np.array(q_cols).reshape(-1, n).T
+    below = pairs.count(0.99)
+    return vp @ vp.conj().T, vq @ vq.conj().T, (p_only + below, q_only + below)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(projection_pairs(), min_size=1, max_size=3))
+def test_overlap_step_dimensions_equal_relative_kernels(blocks):
+    """The flow's step dimensions ``r_P - rho`` and ``r_Q - rho`` are the ranks
+    ``relative_kernels`` takes from the eigenvalues +-1 of P - Q, and the
+    dimensions the angles were placed for."""
+    alg = weighted_model([len(p) for p, _, _ in blocks], [1.0] * len(blocks))
+    p, q = (BlockOperator([b[k] for b in blocks]) for k in (0, 1))
+    path = OperatorPath.linear(2.0 * p - alg.identity(), 2.0 * q - alg.identity())
+    with mock.patch.object(flow, "_relative_class", wraps=flow._relative_class) as spy:
+        _flow_over_partition(path, alg, [0.0, 1.0], DEFAULT_TOL)
+    ker, coker = spy.call_args_list[0].args[:2]
+    reference = relative_kernels(p, q)
+    assert tuple(ker) == block_ranks(reference[0])
+    assert tuple(coker) == block_ranks(reference[1])
+    assert list(zip(ker, coker)) == [dims for _, _, dims in blocks]
+
+
+def _turn(angle: float) -> OperatorPath:
+    """A fixed ideal 1 x 1 block beside a non-ideal 2 x 2 block whose
+    eigenbasis turns by ``angle``: chi there goes from e_1 to the turned e_1."""
+
+    def frame(t: float) -> BlockOperator:
+        c, s = math.cos(angle * t), math.sin(angle * t)
+        r = np.array([[c, -s], [s, c]])
+        return op(np.eye(1), r @ np.diag([1.0, -1.0]) @ r.T)
+
+    return OperatorPath.from_function(frame, np.linspace(0.0, 1.0, 9))
+
+
+_TURN_ALG = weighted_model([1, 2], [1.0, 1.0], [True, False])
+
+
+def test_certified_steps_keep_the_partition_promise():
+    alg = single_block_alg(2, ideal=False)
+    result = spectral_flow_result(_rotating_projection_path(), alg)
+    assert len(result.steps) > 1
+    assert all(_PROMISE <= step.min_cosine <= 1.0 for step in result.steps)
+    assert "min_cosine" not in repr(result.steps[0])
+    # a path with no non-ideal block has no angle to witness
+    assert spectral_flow_result(_calibration_path(), single_block_alg(2)).steps[0].min_cosine == 1.0
+
+
+def test_a_coarsened_partition_breaks_the_promise_and_is_caught():
+    # the rotating projection turns by more than the partition allows between
+    # 0 and 1: its principal cosine there is about 0.83 < 0.893
+    alg = single_block_alg(2, ideal=False)
+    with pytest.raises(ConsistencyError) as err:
+        _flow_over_partition(_rotating_projection_path(), alg, [0.0, 1.0], DEFAULT_TOL)
+    fields = err.value.fields
+    assert (fields["block"], fields["t"], fields["bound"]) == (0, 1.0, 0.5 - DEFAULT_TOL.margin)
+    assert fields["value"] > fields["bound"]
+    assert str(err.value).startswith("principal sine of a step: ")
+
+
+def _run_with_partition(tmp_path, path, partition) -> int:
+    doc = {
+        "task": "spectral_flow",
+        "algebra": encode_algebra(_TURN_ALG),
+        "operators": {f"A{k}": encode_operator(a) for k, (_, a) in enumerate(path.keyframes)},
+        "path": {"keyframes": [{"t": t, "op": f"A{k}"} for k, (t, _) in enumerate(path.keyframes)]},
+    }
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(doc), encoding="utf-8")
+    with mock.patch.object(flow, "find_partition", lambda *args: partition):
+        return main(["run", str(task), "--out", str(tmp_path / "report.json")])
+
+
+def test_a_promise_broken_inside_the_flow_exits_4(tmp_path, capsys):
+    path = _turn(math.pi / 3.0)
+    assert _run_with_partition(tmp_path, path, [0.0, 0.25, 0.5, 0.75, 1.0]) == 0
+    assert _run_with_partition(tmp_path, path, [0.0, 1.0]) == 4
+    assert "principal sine of a step: 8.660e-01 > 4.500e-01 on block 1" in capsys.readouterr().err
+
+
+def test_a_step_rank_mismatch_off_the_ideal_is_not_in_the_ideal(tmp_path, capsys):
+    # a quarter turn takes chi from e_1 to e_2, which meet at a right angle:
+    # both kernel intersections of the step are one-dimensional off the ideal
+    path = _turn(math.pi / 2.0)
+    with pytest.raises(NotInIdealError) as err:
+        _flow_over_partition(path, _TURN_ALG, [0.0, 1.0], DEFAULT_TOL)
+    assert err.value.fields["block"] == 1
+    assert str(err.value) == "p - q must vanish off the ideal: 1.000e+00 > 2.000e-08 on block 1"
+    assert _run_with_partition(tmp_path, path, [0.0, 1.0]) == 3
+    assert "p - q must vanish off the ideal" in capsys.readouterr().err

@@ -928,6 +928,44 @@ def test_eig_guard_sees_the_patterns():
     assert _eigh_uses(model)
 
 
+# -- the flow forms no projection ------------------------------------------------
+
+_PROJECTION_ROUTES = ("chi", "kernel_pair", "proj_intersection", "relative_kernels")
+
+
+def _projection_imports(tree: ast.AST) -> list[str]:
+    """Imports of the routes that form dense projections, and of the
+    ``projections`` module that holds them."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in _PROJECTION_ROUTES + ("projections",):
+                    found.append(f"line {node.lineno}: {alias.name}")
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if "projections" in a.name]
+            found += [f"line {node.lineno}: {name}" for name in names]
+    return found
+
+
+def test_the_flow_forms_no_projection():
+    """Steps and closed form are read off principal angles: flow.py reaches
+    none of the projection routes."""
+    assert _projection_imports(ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))) == []
+
+
+def test_projection_guard_sees_the_patterns():
+    # the flow's imports before its steps came from principal angles, a module
+    # import, then the imports it must accept
+    source = (
+        "from .projections import chi, kernel_pair, proj_intersection, relative_kernels\n"
+        "from . import projections\n"
+        "import vnflow.projections\n"
+        "from .model import _chi_bases, _svd, check_blocks\n"
+    )
+    assert len(_projection_imports(ast.parse(source))) == 6
+
+
 # -- no per-block kernel loops where the blocks are stacked -----------------------
 
 _KERNEL_CALLS = ("_eigh", "_eigvalsh", "_spectral_norm", "_svd")

@@ -286,13 +286,13 @@ def test_route_budgets_on_a_single_block_dirac_triple(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_a_flow_takes_one_eigh_per_stack_for_each_point_and_step(monkeypatch, seed):
-    """Per stack: chi at each partition point, one eigendecomposition of
-    P_(i-1) - P_i for both intersections of each step, and the two range
-    intersections of the closed form."""
+def test_a_flow_takes_one_eigh_per_point_and_one_svd_per_step_and_chain(monkeypatch, seed):
+    """Per stack: one eigendecomposition for chi's kept basis at each partition
+    point, and the singular values of each step's overlap and of the chained
+    overlaps of the closed form; no projection is decomposed."""
     alg, path = random_certified_path(seed)
     stacks = len(path.keyframes[0][1]._stacks)
     calls = _counting(monkeypatch)
     result = spectral_flow_result(path, alg)
-    points = len(result.partition)
-    assert len(calls["eigh"]) == stacks * (points + len(result.steps) + 2)
+    assert len(calls["eigh"]) == stacks * len(result.partition)
+    assert len(calls["svd"]) == stacks * (len(result.steps) + 1)
