@@ -5,7 +5,7 @@ quotient is invertible as a corner element.  On the block model that becomes
 a concrete check: on every non-ideal block the restriction mapping the range
 of p into the range of q must be a square matrix with a singular value gap.
 The index is the formal difference of the kernel intersections, a class over
-the ideal blocks.
+the ideal blocks, read off the same SVDs of the compressed corners.
 """
 
 from __future__ import annotations
@@ -23,14 +23,17 @@ from .model import (
     K0Class,
     Tolerances,
     VnAlgebra,
+    _gram,
+    _mask_groups,
     _norm_eps,
+    _projector,
     _quotient,
     _svd,
     check_residual,
     check_support,
     quotient_norm,
 )
-from .projections import kernel_pair, proj_intersection, range_basis
+from .projections import _require_finite, kernel_pair
 
 __all__ = [
     "CornerBlockReport",
@@ -69,16 +72,48 @@ class FredholmReport:
         return self.fredholm
 
 
-def _corner_gap(
-    s_block: np.ndarray, p_basis: np.ndarray, q_basis: np.ndarray
-) -> float:
-    """Smallest singular value of the restriction range(p) -> range(q)."""
-    if p_basis.shape[1] == 0 and q_basis.shape[1] == 0:
-        return math.inf
-    corner = q_basis.conj().T @ s_block @ p_basis
-    if corner.size == 0:
-        return 0.0
-    return float(_svd(corner, compute_uv=False)[-1])
+def _corner(s: BlockOperator, p: BlockOperator, q: BlockOperator, alg: VnAlgebra, tol: Tolerances):
+    """The Fredholm report of S in q N p and the projections onto ker S ∧ p
+    and ker S* ∧ q, from one SVD ``u sv z*`` of the corner ``B_q* S B_p``
+    per stack and group of blocks with the same range masks (``B_p``, ``B_q``
+    the eigenvectors of p, q above 1/2).  A gap is the ``min(r_p, r_q)``-th
+    singular value, infinite when both ranks are 0 and 0 when one is.  As
+    ``S B_p = B_q (B_q* S B_p)`` on ran p, the kernels are spanned by
+    ``B_p z`` and ``B_q u`` past the ``rho`` singular values above the kernel
+    cut, built as in ``_from_svd``; that cut needs a finite norm of S, which
+    the caller checks before it reads them."""
+    alg.require_conformal(s)
+    defect = s - q @ s @ p
+    # a Frobenius screen as in BlockOperator._check passes without the spectral norm
+    if not (tol.proj >= 1e-140 and defect._norm_bound() <= 0.5 * tol.proj):
+        value = defect.norm()
+        bound = _norm_eps(tol.proj_eps, tol.proj, (s,), value, report=True)
+        check_residual("corner operator S must equal qSp", value, bound)
+    eig_p = list(p._eig())
+    per_stack, kernels = [], [([], []), ([], [])]
+    for st, (wp, vp), (wq, vq) in zip(s._stacks, eig_p, eig_p if q is p else q._eig()):
+        (k, n), masks = wp.shape, np.concatenate([wp > 0.5, wq > 0.5], axis=-1)
+        gaps, rho = np.empty(k), np.empty((k, 1), int)
+        right, left = np.zeros_like(st), np.zeros_like(st)
+        for rows, keep in _mask_groups(masks):
+            bp, bq = vp[rows][..., keep[:n]], vq[rows][..., keep[n:]]
+            u, sv, zh = _svd(bq.conj().mT @ st[rows] @ bp)
+            gaps[rows] = sv[:, -1] if sv.shape[-1] else (math.inf if bp.size == bq.size else 0.0)
+            eps = _norm_eps(tol.kernel_eps, tol.kernel, (s,), sv)
+            rho[rows] = np.count_nonzero(sv > eps, axis=-1)[:, None]
+            right[rows, :, : bp.shape[-1]] = bp @ zh.conj().mT
+            left[rows, :, : bq.shape[-1]] = bq @ u
+        rp, rq = np.count_nonzero(masks[:, :n], axis=-1), np.count_nonzero(masks[:, n:], axis=-1)
+        per_stack.append(zip(rp.tolist(), rq.tolist(), gaps.tolist()))
+        for (stacks, ranks), vecs, r in zip(kernels, (right, left), (rp, rq)):
+            null = (np.arange(n) >= rho) & (np.arange(n) < r[:, None])
+            stacks.append(_projector(null, lambda rows, keep: _gram(vecs[rows][..., keep])))
+            ranks.append(np.count_nonzero(null, axis=-1))
+    blocks = s._in_block_order(per_stack)
+    reports = tuple(CornerBlockReport(i, *blocks[i]) for i in alg.nonideal_indices)
+    fredholm = all(r.invertible and r.smallest_singular_value > tol.gap for r in reports)
+    min_gap = min((r.smallest_singular_value for r in reports), default=math.inf)
+    return FredholmReport(fredholm, min_gap, reports), [s._like(st, ranks=r) for st, r in kernels]
 
 
 def is_corner_fredholm(
@@ -94,21 +129,7 @@ def is_corner_fredholm(
     domain and codomain ranks and its smallest singular value exceeds the gap
     tolerance.  Vacuously true (infinite gap) when everything is ideal.
     """
-    alg.require_conformal(s)
-    defect = s - q @ s @ p
-    # a Frobenius screen as in BlockOperator._check passes without the spectral norm
-    if not (tol.proj >= 1e-140 and defect._norm_bound() <= 0.5 * tol.proj):
-        value = defect.norm()
-        bound = _norm_eps(tol.proj_eps, tol.proj, (s,), value, report=True)
-        check_residual("corner operator S must equal qSp", value, bound)
-    p_bases, q_bases = (range_basis(_quotient(x, alg)) for x in (p, q))
-    reports = tuple(
-        CornerBlockReport(i, pb.shape[1], qb.shape[1], _corner_gap(s.blocks[i], pb, qb))
-        for i, pb, qb in zip(alg.nonideal_indices, p_bases, q_bases)
-    )
-    fredholm = all(r.invertible and r.smallest_singular_value > tol.gap for r in reports)
-    min_gap = min((r.smallest_singular_value for r in reports), default=math.inf)
-    return FredholmReport(fredholm, min_gap, reports)
+    return _corner(s, p, q, alg, tol)[0]
 
 
 def corner_index_result(
@@ -120,17 +141,19 @@ def corner_index_result(
 ) -> tuple[CheckedClass, FredholmReport]:
     """The index of a corner Fredholm operator as a K-class of the ideal.
 
-    The class is [kernel(S) meet range(p)] - [kernel(S*) meet range(q)]; both
-    intersections are verified to be supported in the ideal blocks and are
-    the result's ``kernel`` and ``cokernel``.  The Fredholm report that
-    licensed the class is returned with it.
+    The class is [kernel(S) meet range(p)] - [kernel(S*) meet range(q)], read
+    off the SVDs that give the Fredholm gaps; both intersections are verified
+    to be supported in the ideal blocks and are the result's ``kernel`` and
+    ``cokernel``.  The Fredholm report that licensed the class comes with it.
     """
-    report = is_corner_fredholm(s, p, q, alg, tol)
+    report, (ker_dom, ker_cod) = _corner(s, p, q, alg, tol)
     if not report.fredholm:
         raise PreconditionError(
             f"operator is not corner Fredholm (min gap {report.min_gap:.3e})"
         )
-    ker_dom, ker_cod = (proj_intersection(k, x, tol) for k, x in zip(kernel_pair(s, tol), (p, q)))
+    _require_finite(s)
+    p.require_projection("corner domain p", tol)
+    q.require_projection("corner codomain q", tol)
     for what, ker in (("kernel", ker_dom), ("cokernel", ker_cod)):
         check_support(
             f"{what} intersection off the ideal", ker, alg.nonideal_indices,

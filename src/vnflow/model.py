@@ -49,7 +49,7 @@ class Tolerances:
     ``proj`` and ``kernel`` are relative factors: the effective projection
     tolerance for an operand of norm ``n`` is ``proj * (1 + n)`` and the
     effective kernel threshold is ``kernel * max(1, n)``.  ``gap`` (Fredholm
-    gap) and ``intersection`` (eigenvalue 2 of p + q, and +-1 of p - q) are
+    gap) and ``intersection`` (eigenvalue +-1 of p - q, and principal sines) are
     absolute.  ``margin`` and ``max_depth`` drive the partition search.
     """
 
@@ -189,20 +189,28 @@ def _max_norm(mats: Iterable[np.ndarray]) -> float:
     return _largest(_spectral_norm(m) for m in mats)
 
 
-def _projector(mask: np.ndarray, product: Callable) -> np.ndarray:
-    """The (k, n, n) stack for a boolean (k, n) ``mask`` whose rows ``rows``
-    that share the mask row ``keep`` are ``product(rows, keep)``, a product of
-    the kept basis vectors.  Rows are grouped by mask rather than the dropped
-    vectors zeroed, which would change the last bit."""
+def _mask_groups(mask: np.ndarray) -> list[tuple]:
+    """``(rows, keep)`` per distinct row ``keep`` of a boolean (k, n) ``mask``,
+    ``rows`` the rows equal to it, a slice of all rows when they all are."""
     groups: dict[tuple, list[int]] = {}
-    if len(mask) > 1:
-        for j, row in enumerate(mask.tolist()):
-            groups.setdefault(tuple(row), []).append(j)
-    if len(groups) <= 1:
-        return product(slice(None), mask[0])
+    for j, row in enumerate(mask.tolist()):
+        groups.setdefault(tuple(row), []).append(j)
+    if len(groups) == 1:
+        return [(slice(None), mask[0])]
+    return [(rows, np.array(keep)) for keep, rows in groups.items()]
+
+
+def _projector(mask: np.ndarray, product: Callable) -> np.ndarray:
+    """The (k, n, n) stack whose rows of each ``_mask_groups`` group of a (k, n)
+    ``mask`` are ``product(rows, keep)``, a product of the kept basis vectors.
+    Rows are grouped rather than the dropped vectors zeroed, which would change
+    the last bit."""
+    groups = _mask_groups(mask)
+    if len(groups) == 1:
+        return product(*groups[0])
     out = np.empty(mask.shape + mask.shape[-1:], dtype=complex)
-    for keep, rows in groups.items():
-        out[rows] = product(rows, np.array(keep))
+    for rows, keep in groups:
+        out[rows] = product(rows, keep)
     return out
 
 

@@ -1,16 +1,16 @@
 """Projection calculus on block operators.
 
-Spectral projections, polar phases, kernel projections, range intersections
+Spectral projections, polar phases, kernel projections, relative kernels
 and nearest-projection repair.  Every projection returned here is "snapped":
 it is rebuilt from an orthonormal eigen- or singular basis, and carries the
 per-block counts of the vectors it kept as its ranks.
 
-The index routes that form projections here are ``kernel_pair`` (the
-boundary map, the corner index and the pairing), ``relative_kernels``
-(``sf_unbounded_result``) and ``proj_intersection`` (the corner index).  The
-spectral flow forms none: it reads its steps and closed form off principal
-angles between the kept eigenbases of ``model._chi_bases``, which shares
-``chi``'s mask.
+The index routes are ``kernel_pair`` (the boundary map and the pairing),
+``relative_kernels`` (``sf_unbounded_result``) and the compressed corner of
+``corner.py`` (the corner index), which takes the kernels from the SVD of
+``q``'s range basis times S times ``p``'s.  The spectral flow forms no
+projection: it reads its steps and closed form off principal angles between
+the kept eigenbases of ``model._chi_bases``, which shares ``chi``'s mask.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ __all__ = [
     "null_projection",
     "kernel_pair",
     "range_projection",
-    "proj_intersection",
     "relative_kernels",
     "nearest_projection",
-    "range_basis",
 ]
 
 
@@ -55,13 +53,18 @@ _PRODUCTS: dict[str, Callable] = {
 }
 
 
+def _require_finite(op: BlockOperator) -> None:
+    """A kernel cut relative to a norm that is not finite is meaningless."""
+    if not math.isfinite(op._norm_bound()) and not math.isfinite(op.norm()):
+        raise NumericsError(f"singular value decomposition of an operator of norm {op.norm()}")
+
+
 def _from_svd(op: BlockOperator, tol: Tolerances, kinds, above=True) -> list[BlockOperator]:
     """One operator per ``_PRODUCTS`` kind, built by ``_projector`` from the one
     SVD ``u s vh`` of each stack for the rows that keep the same singular values,
     those above the kernel threshold (``above``) or the rest; projections carry
     the numbers kept as ranks.  A norm that is not finite raises NumericsError."""
-    if not math.isfinite(op._norm_bound()) and not math.isfinite(op.norm()):
-        raise NumericsError(f"singular value decomposition of an operator of norm {op.norm()}")
+    _require_finite(op)
     out, counts = [[] for _ in kinds], []
     for st in op._stacks:
         u, s, vh = _svd(st)
@@ -101,22 +104,6 @@ def range_projection(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockO
     return _from_svd(op, tol, ["left"])[0]
 
 
-def proj_intersection(
-    p: BlockOperator, q: BlockOperator, tol: Tolerances = DEFAULT_TOL
-) -> BlockOperator:
-    """Projection onto the intersection of the ranges of two projections.
-
-    The intersection of the ranges is exactly the eigenvalue-2 eigenspace of
-    p + q, so one Hermitian eigendecomposition with the ``intersection``
-    tolerance settles it.
-    """
-    p.require_projection("first intersection argument", tol)
-    q.require_projection("second intersection argument", tol)
-    cut = 2.0 - tol.intersection
-    total = p + q
-    return total.spectral_projection(lambda w: w > cut)
-
-
 def relative_kernels(
     p: BlockOperator, q: BlockOperator, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[BlockOperator, BlockOperator]:
@@ -128,7 +115,7 @@ def relative_kernels(
     and ``q x = 0``; the two spaces are the eigenvalue +1 and -1 eigenspaces
     of ``p - q`` (Avron, Seiler and Simon, J. Funct. Anal. 120, 1994), kept
     above ``1 - intersection`` and below ``-(1 - intersection)``.  They equal
-    ``proj_intersection(p, 1 - q)`` and ``proj_intersection(1 - p, q)``.
+    the eigenvalue-2 eigenspaces of ``p + (1 - q)`` and ``(1 - p) + q``.
     """
     p.require_projection("first intersection argument", tol)
     q.require_projection("second intersection argument", tol)
@@ -160,12 +147,3 @@ def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> Block
                 f"{defect[i]:.6g} >= 1/4"
             )
     return e._like(e._stacks, eig).spectral_projection(lambda w: w > 0.5)
-
-
-def range_basis(p: BlockOperator) -> list[np.ndarray]:
-    """Orthonormal bases of the block ranges of a projection.
-
-    Returns one (dim x rank) matrix with orthonormal columns per block,
-    obtained from the eigenvectors with eigenvalue above 1/2.
-    """
-    return p._in_block_order([vi[:, wi > 0.5] for wi, vi in zip(w, v)] for w, v in p._eig())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from vnflow import Block, BlockOperator, VnAlgebra
+from vnflow import DEFAULT_TOL, Block, BlockOperator, Tolerances, VnAlgebra
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -25,6 +25,18 @@ def random_selfadjoint(n: int, rng: np.random.Generator, scale: float = 1.0) -> 
 
 def random_matrix(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def proj_intersection(
+    p: BlockOperator, q: BlockOperator, tol: Tolerances = DEFAULT_TOL
+) -> BlockOperator:
+    """Reference projection onto the intersection of the ranges of two
+    projections: the eigenvalue-2 eigenspace of p + q, kept above
+    ``2 - intersection``."""
+    p.require_projection("first intersection argument", tol)
+    q.require_projection("second intersection argument", tol)
+    cut = 2.0 - tol.intersection
+    return (p + q).spectral_projection(lambda w: w > cut)
 
 
 def single_block_alg(dim: int, weight: float = 1.0, ideal: bool = True) -> VnAlgebra:

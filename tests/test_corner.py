@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from vnflow import (
     BlockOperator,
+    NotInIdealError,
+    NumericsError,
     PreconditionError,
     block_ranks,
     boundary_map,
@@ -21,12 +23,18 @@ from vnflow import (
     k0_of_difference,
     null_projection,
     polar_phase,
-    proj_intersection,
     quotient_norm,
     weighted_model,
 )
 
-from conftest import haar_unitary, op, random_matrix, random_projection, single_block_alg
+from conftest import (
+    haar_unitary,
+    op,
+    proj_intersection,
+    random_matrix,
+    random_projection,
+    single_block_alg,
+)
 
 
 def _svd_kernel_rank(mat: np.ndarray, eps: float = 1e-10) -> int:
@@ -371,3 +379,119 @@ def test_rank_mismatched_empty_corner_is_not_fredholm():
     assert (block.domain_rank, block.codomain_rank, block.invertible) == (1, 0, False)
     with pytest.raises(PreconditionError, match="operator is not corner Fredholm"):
         corner_index(s, p, q, alg)
+
+
+# -- the compressed corner -------------------------------------------------------
+
+
+@st.composite
+def corner_models(draw):
+    """S in the corner qNp with corner rank r per block, as the benchmark's
+    index documents build it: on an ideal block any ranks r_p, r_q and
+    r <= min(r_p, r_q), on a non-ideal one r_p = r_q = r >= 1.  Blocks of
+    dimension 2 or 3 share stacks, so a stack holds several mask groups."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5))
+    ideal = [True] + draw(st.lists(st.booleans(), min_size=len(dims) - 1, max_size=len(dims) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ps, qs, ss, ranks = [], [], [], []
+    for dim, is_ideal in zip(dims, ideal):
+        if is_ideal:
+            rp, rq = draw(st.integers(0, dim)), draw(st.integers(0, dim))
+            r = draw(st.integers(0, min(rp, rq)))
+        else:
+            rp = rq = r = draw(st.integers(1, dim))
+        vp, vq = haar_unitary(dim, rng)[:, :rp], haar_unitary(dim, rng)[:, :rq]
+        core = np.zeros((rq, rp), dtype=complex)
+        core[:r, :r] = haar_unitary(r, rng) * rng.uniform(0.5, 1.5, size=r)
+        ps.append(vp @ vp.conj().T)
+        qs.append(vq @ vq.conj().T)
+        ss.append(vq @ core @ vp.conj().T)
+        ranks.append((rp, rq, r))
+    alg = weighted_model(dims, [1.0] * len(dims), ideal)
+    return alg, BlockOperator(ss), BlockOperator(ps), BlockOperator(qs), ranks
+
+
+@settings(max_examples=80, deadline=None)
+@given(corner_models())
+def test_the_compressed_corner_gives_the_kernel_intersections(model):
+    alg, s, p, q, ranks = model
+    result, report = corner_index_result(s, p, q, alg)
+    assert result.k0.ranks == tuple(ranks[i][0] - ranks[i][1] for i in alg.ideal_indices)
+    assert block_ranks(result.kernel) == tuple(rp - r for rp, _, r in ranks)
+    assert block_ranks(result.cokernel) == tuple(rq - r for _, rq, r in ranks)
+    assert result.kernel.allclose(proj_intersection(null_projection(s), p), atol=1e-8)
+    assert result.cokernel.allclose(proj_intersection(null_projection(s.H), q), atol=1e-8)
+    assert [(r.domain_rank, r.codomain_rank) for r in report.blocks] == [
+        ranks[i][:2] for i in alg.nonideal_indices
+    ]
+
+
+_SVD_FAILED = (NumericsError, "spectral norm failed: SVD did not converge")
+
+
+@pytest.mark.parametrize(
+    "block, ideal, fredholm, index",
+    [
+        ([[1.0, np.inf], [0.0, 1.0]], True, _SVD_FAILED, _SVD_FAILED),
+        ([[1.0, np.inf], [0.0, 1.0]], False, _SVD_FAILED, _SVD_FAILED),
+        (
+            [[1e308, 1e308], [1e308, 1e308]], True, (True, 1.0),
+            (NumericsError, "singular value decomposition of an operator of norm inf"),
+        ),
+        (
+            [[1e308, 1e308], [1e308, 1e308]], False, (False, 0.0),
+            (PreconditionError, "operator is not corner Fredholm (min gap 0.000e+00)"),
+        ),
+        ([[1.0, np.nan], [0.0, 1.0]], True, _SVD_FAILED, _SVD_FAILED),
+        ([[1.0, np.nan], [0.0, 1.0]], False, _SVD_FAILED, _SVD_FAILED),
+    ],
+    ids=[f"{kind}-{side}" for kind in ("infinite-entry", "overflowing-norm", "nan-entry")
+         for side in ("ideal", "non-ideal")],
+)
+def test_a_non_finite_corner_operator_fails_as_it_did(block, ideal, fredholm, index):
+    """The non-finite guard acts where the kernel cut is taken: an overflowing
+    ideal block passes the Fredholm check and then raises NumericsError, an
+    overflowing non-ideal one has gap 0 and is not Fredholm."""
+    alg = weighted_model([2, 2], [1.0, 1.0], [ideal, not ideal])
+    s, one = BlockOperator([block, np.eye(2)]), alg.identity()
+    with np.errstate(invalid="ignore", over="ignore"):
+        if isinstance(fredholm[0], bool):
+            report = is_corner_fredholm(s, one, one, alg)
+            assert (report.fredholm, report.min_gap) == fredholm
+        else:
+            with pytest.raises(fredholm[0]) as err:
+                is_corner_fredholm(s, one, one, alg)
+            assert type(err.value) is fredholm[0] and str(err.value) == fredholm[1]
+        with pytest.raises(index[0]) as err:
+            corner_index_result(s, one, one, alg)
+        assert type(err.value) is index[0] and str(err.value) == index[1]
+
+
+def test_a_kernel_cut_above_the_fredholm_gap_is_off_the_ideal():
+    """One set of singular values, two cuts: the non-ideal gap 5e-8 passes
+    the Fredholm test (gap 1e-8), but lies below the kernel cut
+    1e-10 * ||S|| = 1e-7, so the kernel has a vector off the ideal."""
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    s = BlockOperator([np.diag([1e3, 0.0]), np.diag([1e3, 5e-8])])
+    one = alg.identity()
+    report = is_corner_fredholm(s, one, one, alg)
+    assert report.fredholm and report.min_gap == pytest.approx(5e-8, rel=1e-12)
+    with pytest.raises(NotInIdealError) as err:
+        corner_index_result(s, one, one, alg)
+    assert str(err.value) == "kernel intersection off the ideal: 1.000e+00 > 2.000e-08 on block 1"
+    assert err.value.fields == {
+        "what": "kernel intersection off the ideal",
+        "value": pytest.approx(1.0),
+        "bound": pytest.approx(2e-8),
+        "block": 1,
+    }
+
+
+def test_the_corner_index_requires_projections():
+    alg = single_block_alg(2)
+    half = op(np.diag([0.9, 0.0]))
+    one = alg.identity()
+    with pytest.raises(PreconditionError, match="must be a projection"):
+        corner_index_result(alg.zero(), half, one, alg)
+    with pytest.raises(PreconditionError, match="must be a projection"):
+        corner_index_result(alg.zero(), one, half, alg)

@@ -31,7 +31,6 @@ from vnflow import (
     make_triple,
     null_projection,
     polar_phase,
-    proj_intersection,
     quotient_norm,
     range_projection,
     resolvent_integral_check,
@@ -40,7 +39,13 @@ from vnflow import cli, triples
 from vnflow.triples import IntegralCheck
 from vnflow.model import _spectral_norm
 
-from conftest import haar_unitary, random_matrix, random_projection, random_selfadjoint
+from conftest import (
+    haar_unitary,
+    proj_intersection,
+    random_matrix,
+    random_projection,
+    random_selfadjoint,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vnflow"
 
@@ -1030,8 +1035,9 @@ def test_no_per_block_kernel_loops(path):
 def test_per_block_guard_sees_the_loops_it_replaced():
     # the six per-block kernel loops of model.py, flow.py and projections.py
     # before the blocks were stacked, the three of triples.py and cli.py that
-    # outlived that change, a per-block SVD, then two stacked loops it must
-    # accept
+    # outlived that change, a per-block SVD, the corner loop of
+    # is_corner_fredholm before the compressed corner was grouped by masks,
+    # then two stacked loops it must accept
     source = (
         "def block_ranks(p):\n"
         "    for b in p.blocks:\n"
@@ -1062,12 +1068,15 @@ def test_per_block_guard_sees_the_loops_it_replaced():
         "            w = _eigvalsh(block)\n"
         "def polar_phase(op, tol):\n"
         "    svds = [_svd(b) for b in op.blocks]\n"
+        "def is_corner_fredholm(s, p, q, alg, tol):\n"
+        "    for i, pb, qb in zip(alg.nonideal_indices, p_bases, q_bases):\n"
+        "        gap = _svd(qb.conj().T @ s.blocks[i] @ pb, compute_uv=False)[-1]\n"
         "def stacked(p, e):\n"
         "    for idx, st in p._stacks_of():\n"
         "        w = _eigvalsh(st)\n"
         "    return [_eigh(st) for st in e._stacks]\n"
     )
-    assert len(_per_block_kernel_calls(ast.parse(source))) == 10
+    assert len(_per_block_kernel_calls(ast.parse(source))) == 11
 
 
 # -- one residual check ----------------------------------------------------------

@@ -17,7 +17,6 @@ from vnflow import (
     nearest_projection,
     null_projection,
     polar_phase,
-    proj_intersection,
     range_projection,
     relative_kernels,
     weighted_model,
@@ -26,6 +25,7 @@ from vnflow import (
 from conftest import (
     haar_unitary,
     op,
+    proj_intersection,
     random_matrix,
     random_projection,
     random_selfadjoint,

@@ -25,24 +25,31 @@ from vnflow import (
     block_ranks,
     bounded_transform,
     chi,
+    corner_index_result,
     dirac_circle,
     kernel_pair,
     make_pairing_data,
     nearest_projection,
     null_projection,
     pairing_via_boundary,
-    proj_intersection,
     quotient_norm,
     range_projection,
     sf_unbounded,
     sf_unitary,
     spectral_flow_result,
     unitary_log,
+    weighted_model,
 )
 from vnflow.model import DEFAULT_TOL, _quotient
 from vnflow.pairing import _LOG_TOL
 
-from conftest import haar_unitary, random_certified_path, random_matrix, random_projection
+from conftest import (
+    haar_unitary,
+    proj_intersection,
+    random_certified_path,
+    random_matrix,
+    random_projection,
+)
 
 _EPS = np.finfo(float).eps
 # few levels, so that eigenvalues and singular values repeat within a block
@@ -254,9 +261,10 @@ def test_route_budgets_on_a_single_block_dirac_triple(monkeypatch):
     # commutator norms wait for their first read
     assert _budget(calls) == {"eigh": 1, "eigvalsh": 0, "svd": 0, "schur": 0, "norm2": 0}
 
-    # one kernel pair per route, and two range intersections in the corner
+    # one kernel pair for each lift; the corner takes p's range basis once
+    # (p is q there) and one SVD of the compressed corner
     assert sf_unitary(triple, u).ranks == (0,)
-    assert _budget(calls) == {"eigh": 2, "eigvalsh": 0, "svd": 3, "schur": 0, "norm2": 0}
+    assert _budget(calls) == {"eigh": 1, "eigvalsh": 0, "svd": 3, "schur": 0, "norm2": 0}
 
     # two bounded transforms of D + A_t, and one eigendecomposition of
     # p0 - p1 for both intersections
@@ -296,3 +304,21 @@ def test_a_flow_takes_one_eigh_per_point_and_one_svd_per_step_and_chain(monkeypa
     result = spectral_flow_result(path, alg)
     assert len(calls["eigh"]) == stacks * len(result.partition)
     assert len(calls["svd"]) == stacks * (len(result.steps) + 1)
+
+
+def test_a_corner_index_takes_one_svd_per_mask_group(monkeypatch):
+    """Per stack, one eigendecomposition each of p and q, and one SVD of the
+    compressed corners of each group of blocks with the same pair of range
+    masks; no eigendecomposition of p + ker or q + coker."""
+    rng = np.random.default_rng(7)
+    # (r_p, r_q) per block: the 3x3 stack holds three mask groups, the 2x2 two
+    dims, ideal = [3, 3, 3, 2, 3, 2], [True, True, False, False, True, True]
+    ranks = [(2, 1), (1, 2), (1, 1), (1, 1), (2, 1), (0, 2)]
+    p = BlockOperator([random_projection(n, rp, rng) for n, (rp, _) in zip(dims, ranks)])
+    q = BlockOperator([random_projection(n, rq, rng) for n, (_, rq) in zip(dims, ranks)])
+    s = q @ BlockOperator([random_matrix(n, rng) for n in dims]) @ p
+    alg = weighted_model(dims, [1.0] * len(dims), ideal)
+    calls = _counting(monkeypatch)
+    result, report = corner_index_result(s, p, q, alg)
+    assert report.fredholm and result.k0.ranks == (1, -1, 1, -2)
+    assert _budget(calls) == {"eigh": 4, "eigvalsh": 0, "svd": 5, "schur": 0, "norm2": 0}

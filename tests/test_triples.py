@@ -400,11 +400,12 @@ def test_pushforward_reuses_the_flow_kernels(monkeypatch):
     for module in (vnflow.corner, vnflow.triples):
         monkeypatch.setattr(module, "kernel_pair", counted, raising=False)
     sf_unitary(triple, u)
-    # one kernel pair (one SVD) per route: both lifts and the corner
-    assert len(calls) == 3
+    # one kernel pair (one SVD) per lift; the corner takes its own SVD of the
+    # compressed corner
+    assert len(calls) == 2
     calls.clear()
     sub, padded = pushforward_sf(triple, u, [True, False, False])
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert padded == sf_unitary(triple, u)
 
 
