@@ -63,4 +63,5 @@ class NumericsError(VnFlowError):
 
 
 class ConsistencyError(VnFlowError):
-    """Two independent routes to the same quantity disagreed."""
+    """A certificate and the computation it licenses disagreed: a flow step's
+    principal sine exceeds what the partition's Davis–Kahan bound promised."""

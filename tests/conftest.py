@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from vnflow import DEFAULT_TOL, Block, BlockOperator, Tolerances, VnAlgebra
+from vnflow import (
+    DEFAULT_TOL,
+    Block,
+    BlockOperator,
+    Tolerances,
+    VnAlgebra,
+    boundary_map,
+    corner_index_result,
+)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -37,6 +45,21 @@ def proj_intersection(
     q.require_projection("second intersection argument", tol)
     cut = 2.0 - tol.intersection
     return (p + q).spectral_projection(lambda w: w > cut)
+
+
+def affine_sf_unitary(triple, u: BlockOperator, tol: Tolerances = DEFAULT_TOL):
+    """Reference flow from D to u* D u: the boundary class of the lift built
+    from the affine shift (F + 1)/2, a projection only modulo the ideal."""
+    one = triple.alg.identity()
+    half = 0.5 * (triple.F + one)
+    return boundary_map(half @ u @ half + (one - half), triple.alg, tol, eps_gap=10 * tol.gap)
+
+
+def corner_sf_unitary(triple, u: BlockOperator, tol: Tolerances = DEFAULT_TOL):
+    """Reference flow from D to u* D u: the corner index of p u p in the
+    p-corner, with ker(p u p) meet ran p and its adjoint as the kernel pair."""
+    p = triple.p
+    return corner_index_result(p @ u @ p, p, p, triple.alg, tol)[0]
 
 
 def single_block_alg(dim: int, weight: float = 1.0, ideal: bool = True) -> VnAlgebra:

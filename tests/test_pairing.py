@@ -11,11 +11,13 @@ from vnflow import (
     BlockOperator,
     ModelError,
     PreconditionError,
+    SpectralGapError,
     boundary_map,
     cos_identity_check,
     dirac_circle,
     intermediate_operator,
     make_pairing_data,
+    nearest_projection,
     null_projection,
     pairing_result,
     pairing_via_boundary,
@@ -219,6 +221,31 @@ def test_pairing_matches_sf_unitary_on_winding_models():
         assert pairing_via_boundary(data) == sf_unitary(triple, u)
 
 
+@pytest.mark.parametrize("smear", ["half", "above", "below"])
+def test_a_projection_modulo_the_ideal_pairs_as_its_honest_projection(smear):
+    # W reads p modulo the ideal, so an ideal block too far from a projection
+    # to snap to one (an eigenvalue at 1/2, or idempotency defect 0.39 >= 1/4)
+    # pairs as the honest projection it smears
+    rng = np.random.default_rng(41)
+    alg = weighted_model([3, 2], [1.0, 1.0], [True, False])
+    z = haar_unitary(3, rng)
+    honest = z[:, :1] @ z[:, :1].conj().T
+    block = {
+        "half": honest + 0.5 * z[:, 1:2] @ z[:, 1:2].conj().T,
+        "above": honest + 0.3 * np.eye(3),
+        "below": honest - 0.3 * np.eye(3),
+    }[smear]
+    u = BlockOperator([haar_unitary(3, rng), np.diag([1.0, -1.0])])
+    p_ni = np.diag([1.0, 0.0])
+    smeared, reference = (
+        pairing_result(make_pairing_data(alg, BlockOperator([b, p_ni]), u)) for b in (block, honest)
+    )
+    with pytest.raises(SpectralGapError):
+        nearest_projection(BlockOperator([block, p_ni]))
+    assert smeared.k0 == reference.k0
+    assert dict(smeared.residuals) == dict(reference.residuals)
+
+
 def test_pairing_stable_under_ideal_perturbation_of_p():
     rng = np.random.default_rng(12)
     triple, u = dirac_circle(5, 1)
@@ -288,8 +315,8 @@ def test_pairing_result_carries_the_kernels_of_the_intermediate_operator():
 
 
 def test_pairing_result_checks_each_unitarity_residual_once(monkeypatch):
-    # two residuals for the lift p u p + (1 - p) and two for the intermediate
-    # operator W; W's are not recomputed by a second boundary-map check
+    # the two residuals of the intermediate operator W, not recomputed by a
+    # second boundary-map check; no lift p u p + (1 - p) is formed
     import vnflow.corner
     import vnflow.pairing
 
@@ -307,7 +334,7 @@ def test_pairing_result_checks_each_unitarity_residual_once(monkeypatch):
     for module in (vnflow.corner, vnflow.pairing):
         monkeypatch.setattr(module, "quotient_norm", counted)
     result = pairing_result(data)
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert result.k0.is_zero
     # a direct caller still gets the check: a q that does not commute with p
     # leaves W far from quotient unitary

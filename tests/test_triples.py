@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vnflow import (
+    DEFAULT_TOL,
     BlockOperator,
     ModelError,
     OperatorPath,
@@ -29,7 +30,15 @@ from vnflow import (
     weighted_model,
 )
 
-from conftest import haar_unitary, op, random_matrix, random_selfadjoint, single_block_alg
+from conftest import (
+    affine_sf_unitary,
+    corner_sf_unitary,
+    haar_unitary,
+    op,
+    random_matrix,
+    random_selfadjoint,
+    single_block_alg,
+)
 
 
 # -- bounded transform -------------------------------------------------------------
@@ -107,7 +116,6 @@ def test_triple_derived_data():
     triple, _ = _mixed_triple()
     one = triple.alg.identity()
     assert triple.p.is_projection()
-    assert (2.0 * triple.p_half - one).allclose(triple.F, atol=1e-12)
     assert quotient_norm(triple.F @ triple.F - one, triple.alg) < 1e-8
     assert triple.commutator_norms["1"] == pytest.approx(0.0)
 
@@ -266,6 +274,22 @@ def test_sf_unitary_mixed_model():
     assert sf_unitary(triple, u).ranks == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "model", [(m, k) for m in (4, 8) for k in range(-3, 4)] + ["mixed"], ids=str
+)
+def test_sf_unitary_matches_the_affine_and_corner_references(model):
+    # the lift p u p + (1 - p) has kernel ker(p u p) meet ran p, so the corner
+    # index of p u p carries the same kernel pair; the shifts lose |k| vectors
+    triple, u = _mixed_triple() if model == "mixed" else dirac_circle(*model)
+    result = sf_unitary_result(triple, u)
+    corner = corner_sf_unitary(triple, u)
+    assert affine_sf_unitary(triple, u) == corner.k0 == result.k0
+    eps = DEFAULT_TOL.proj_eps(1.0)
+    for mine, ref in ((result.kernel, corner.kernel), (result.cokernel, corner.cokernel)):
+        assert (mine - ref).norm() <= eps
+        assert block_ranks(mine) == block_ranks(ref)
+
+
 # -- unbounded flow -----------------------------------------------------------------------
 
 
@@ -281,6 +305,24 @@ def test_sf_unbounded_conjugation_path_matches_sf_unitary():
         target = u.H @ triple.D @ u - triple.D
         path = OperatorPath.linear(triple.alg.zero(), target)
         assert sf_unbounded(triple, path) == sf_unitary(triple, u)
+
+
+@pytest.mark.parametrize("m, c, expected", [(2, 1.5, (2,)), (8, 3.5, (4,)), (64, 10.5, (11,))])
+def test_a_shifted_dirac_path_has_a_nonzero_class(m, c, expected):
+    # along A_t = -t c 1 the eigenvalues of D in [0, c) leave the nonnegative
+    # spectral projection, and none enters it
+    triple, _ = dirac_circle(m, 1)
+    alg = triple.alg
+    shift = -c * alg.identity()
+    result = sf_unbounded_result(triple, OperatorPath.linear(alg.zero(), shift))
+    assert result.k0.ranks == expected
+    w = np.linalg.eigvalsh(triple.D.blocks[0])
+    assert expected == (int(np.count_nonzero((w >= 0.0) & (w < c))),)
+    assert (block_ranks(result.kernel), block_ranks(result.cokernel)) == (expected, (0,))
+    fpath = OperatorPath.from_function(
+        lambda t: bounded_transform(triple.D + t * shift), np.linspace(0.0, 1.0, 9)
+    )
+    assert spectral_flow(fpath, alg) == result.k0
 
 
 def test_sf_unbounded_depends_on_endpoints_only():
@@ -400,12 +442,11 @@ def test_pushforward_reuses_the_flow_kernels(monkeypatch):
     for module in (vnflow.corner, vnflow.triples):
         monkeypatch.setattr(module, "kernel_pair", counted, raising=False)
     sf_unitary(triple, u)
-    # one kernel pair (one SVD) per lift; the corner takes its own SVD of the
-    # compressed corner
-    assert len(calls) == 2
+    # one kernel pair (one SVD) of the lift p u p + (1 - p)
+    assert len(calls) == 1
     calls.clear()
     sub, padded = pushforward_sf(triple, u, [True, False, False])
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert padded == sf_unitary(triple, u)
 
 
