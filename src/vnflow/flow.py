@@ -5,10 +5,10 @@ invertible (adaptive gap monitoring with a Weyl-type certificate on the
 piecewise linear segments), partition it from that certificate so that the
 quotient spectral projections provably stay within distance 1/2 on every
 interval, and evaluate the defining sum of the relative indices
-[P ∧ (1 - Q)] - [(1 - P) ∧ Q] of the projections at each step's ends.  These,
-and the closed form over the whole partition, are read off principal angles,
-whose cosines are the singular values of overlaps of kept eigenbases (Björck
-and Golub, Math. Comp. 27, 1973), with no projection formed.
+[P ∧ (1 - Q)] - [(1 - P) ∧ Q] of the projections at each step's ends: on an
+ideal block the difference of chi's counts at the ends, off it 0, as checked
+on principal angles, whose cosines are the singular values of overlaps of kept
+eigenbases (Björck and Golub, Math. Comp. 27, 1973), with no projection formed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NotInIdealError, PartitionError, PathError
 from .model import DEFAULT_TOL, K0Class, OperatorPath, Tolerances, VnAlgebra, tau_star
-from .model import _chi_bases, _eigvalsh, _norm_eps, _svd, check_blocks, check_residual
+from .model import _chi_counts, _eigvalsh, _norm_eps, _svd, check_blocks, check_residual
 
 __all__ = [
     "PathCertificate", "FlowStep", "FlowResult", "certify_path", "find_partition",
@@ -97,7 +97,6 @@ class FlowResult:
     k0: K0Class
     partition: tuple[float, ...]
     steps: tuple[FlowStep, ...]
-    closed_form: K0Class
     certificate: PathCertificate
 
 
@@ -208,68 +207,54 @@ def find_partition(
     return cuts + [1.0]
 
 
-def _relative_class(ker, coker, ideal: list, nonideal: list, tol: Tolerances) -> K0Class:
-    """[P ∧ (1 - Q)] - [(1 - P) ∧ Q] from its two dimensions per block.  Off the
-    ideal both must be 0: the spaces are orthogonal, so the norm of the
-    difference of their projections is 1 where one is not."""
-    for k in np.flatnonzero((ker + coker)[nonideal])[:1]:
-        what = "p - q must vanish off the ideal"
-        check_residual(what, 1.0, tol.proj_eps(1.0), NotInIdealError, block=nonideal[k])
-    return K0Class(ker[ideal] - coker[ideal])
-
-
 def _flow_over_partition(
     path: OperatorPath, alg: VnAlgebra, partition: list[float], tol: Tolerances
-) -> tuple[K0Class, list[tuple[K0Class, float]], K0Class]:
-    """The defining sum, its terms with their ``min_cosine``, and the closed form.
+) -> list[tuple[K0Class, float]]:
+    """The terms of the defining sum, each with its ``min_cosine``.
 
-    With ``M_i`` chi's kept eigenbasis at ``t_i`` (``r_i`` columns), ``rho``
-    singular values of ``M_i* M_(i-1)`` lie above ``sqrt(1 - (1 - intersection)^2)``
-    (the cut on the sines, the eigenvalues of P - Q), and the step's spaces have
-    dimensions ``r_(i-1) - rho`` and ``r_i - rho``; the chained overlaps, cut at
-    ``kernel``, the kernel threshold of a contraction, give the closed form alike."""
-    frame = path.at(partition[0])
-    row = np.empty(len(frame.dims), dtype=int)  # each block's row in the stacks
-    row[np.concatenate(frame._groups)] = np.arange(len(row))
-    ideal, nonideal, chain, steps = list(alg.ideal_indices), list(alg.nonideal_indices), None, []
+    On an ideal block a step's class is ``r_P - r_Q``, chi's counts at its ends,
+    whatever the angles between the ranges.  Off the ideal, with ``M_P`` and
+    ``M_Q`` chi's kept eigenbases, ``rho`` singular values of ``M_Q* M_P`` lie
+    above ``sqrt(1 - (1 - intersection)^2)`` (the cut on the sines, the
+    eigenvalues of P - Q), and the step's spaces, of dimensions ``r_P - rho``
+    and ``r_Q - rho``, must both be 0: they are orthogonal, so the norm of the
+    difference of their projections is 1 where one is not."""
+    ideal, nonideal, steps = list(alg.ideal_indices), list(alg.nonideal_indices), []
     cut, bound = math.sqrt(1.0 - (1.0 - tol.intersection) ** 2), 0.5 - tol.margin
-    prev = _chi_bases(frame, tol)
-    first = rank_p = np.concatenate([r for _, r in prev])[row]
+    rank_p, prev = _chi_counts(path.at(partition[0]), alg, tol)
     for t in partition[1:]:
-        cur = _chi_bases(path.at(t), tol)
-        rank_q = np.concatenate([r for _, r in cur])[row]
-        overlaps = [mq.conj().mT @ mp for (mp, _), (mq, _) in zip(prev, cur)]
-        cosines = [_svd(o, compute_uv=False) for o in overlaps]
-        rho = np.concatenate([np.count_nonzero(s > cut, axis=-1) for s in cosines])[row]
-        step = _relative_class(rank_p - rho, rank_q - rho, ideal, nonideal, tol)
+        rank_q, cur = _chi_counts(path.at(t), alg, tol)
+        rho, least = np.zeros(len(nonideal), dtype=int), np.ones(len(nonideal))
+        for (pos, mp), (_, mq) in zip(prev, cur):
+            s = _svd(mq.conj().mT @ mp, compute_uv=False)
+            rho[pos] = np.count_nonzero(s > cut, axis=-1)
+            least[pos] = np.where(s > cut, s, 1.0).min(-1)
+        for k in np.flatnonzero(rank_p[nonideal] + rank_q[nonideal] - 2 * rho)[:1]:
+            what = "p - q must vanish off the ideal"
+            check_residual(what, 1.0, tol.proj_eps(1.0), NotInIdealError, block=nonideal[k])
         # off the ideal rho = r_P = r_Q now: the cosines kept are those above the cut
-        least = np.concatenate([np.where(s > cut, s, 1.0).min(-1) for s in cosines])[row][nonideal]
         sines = np.sqrt(np.maximum(0.0, 1.0 - least * least))
         check_blocks("principal sine of a step", sines, bound, nonideal, ConsistencyError, t=t)
-        steps.append((step, float(least.min(initial=1.0))))
-        chain = overlaps if chain is None else [o @ c for o, c in zip(overlaps, chain)]
+        steps.append((K0Class(rank_p[ideal] - rank_q[ideal]), float(least.min(initial=1.0))))
         prev, rank_p = cur, rank_q
-    total = sum((c for c, _ in steps), K0Class.zero(len(ideal)))
-    sv = [_svd(c, compute_uv=False) for c in chain]
-    rho = np.concatenate([np.count_nonzero(s > tol.kernel, axis=-1) for s in sv])[row]
-    return total, steps, _relative_class(first - rho, rank_p - rho, ideal, nonideal, tol)
+    return steps
 
 
 def spectral_flow_result(
     path: OperatorPath, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL
 ) -> FlowResult:
-    """Certify, partition and evaluate the spectral flow, with full trace.  On
-    the ideal blocks the closed form equals the sum by rank-nullity (both are
-    ``r_0 - r_n``); off them it checks the chained overlaps."""
+    """Certify, partition and evaluate the spectral flow, with full trace: the
+    class is the sum of the steps' classes."""
     certificate = certify_path(path, alg, tol)
     partition = find_partition(path, alg, tol, certificate)
-    total, contributions, closed = _flow_over_partition(path, alg, partition, tol)
+    contributions = _flow_over_partition(path, alg, partition, tol)
     spectra = certificate.spectra
     steps = tuple(
         FlowStep(a, b, spectra[b][0] if spectra else math.inf, c, cosine)
         for a, b, (c, cosine) in zip(partition, partition[1:], contributions)
     )
-    return FlowResult(total, tuple(partition), steps, closed, certificate)
+    total = sum((step.contribution for step in steps), K0Class.zero(alg.n_ideal))
+    return FlowResult(total, tuple(partition), steps, certificate)
 
 
 def spectral_flow(path: OperatorPath, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL) -> K0Class:

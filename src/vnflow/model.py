@@ -225,17 +225,22 @@ def _chi_keep(op: "BlockOperator", tol: Tolerances) -> Callable[[np.ndarray], np
     return lambda w: w >= -_norm_eps(tol.kernel_eps, tol.kernel, (op,), -w)
 
 
-def _chi_bases(op: "BlockOperator", tol: Tolerances) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The range of ``chi(op)`` without the projection: per stack, the
-    eigenvectors of ``op`` with the columns chi drops zeroed, and the per-block
-    counts of the kept ones."""
+def _chi_counts(op: "BlockOperator", alg: "VnAlgebra", tol: Tolerances) -> tuple:
+    """chi's counts of kept eigenvalues of ``op`` in block order, and per stack of
+    non-ideal blocks their positions in ``alg.nonideal_indices`` and the range of
+    ``chi(op)`` without the projection: the eigenvectors with the columns chi
+    drops zeroed.  Ideal stacks take eigenvalues only; each call decomposes afresh."""
     op.require_selfadjoint("chi argument", tol)
-    keep = _chi_keep(op, tol)
-    out = []
-    for w, v in op._eig():
+    keep, counts, bases = _chi_keep(op, tol), np.empty(len(op.dims), dtype=int), []
+    ideal, nonideal = alg.ideal_indices, alg.nonideal_indices
+    for pos, st in op._stacks_of(ideal):
+        counts[np.array(ideal)[pos]] = np.count_nonzero(keep(_eigvalsh(st)), axis=-1)
+    for pos, st in op._stacks_of(nonideal):
+        w, v = _eigh(st)
         mask = keep(w)
-        out.append((v * mask[..., None, :], np.count_nonzero(mask, axis=-1)))
-    return out
+        counts[np.array(nonideal)[pos]] = np.count_nonzero(mask, axis=-1)
+        bases.append((pos, v * mask[..., None, :]))
+    return counts, bases
 
 
 # The package's one residual check: every "residual <= tolerance" condition

@@ -8,11 +8,13 @@ from vnflow import (
     DEFAULT_TOL,
     Block,
     BlockOperator,
+    K0Class,
     Tolerances,
     VnAlgebra,
     boundary_map,
     corner_index_result,
 )
+from vnflow.flow import _flow_over_partition
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,6 +141,12 @@ def random_certified_path(seed: int, n_keyframes: int = 7):
 
     grid = np.linspace(0.0, 1.0, n_keyframes)
     return alg, OperatorPath.from_function(frame, grid)
+
+
+def flow_over(path, alg, partition) -> K0Class:
+    """The flow's defining sum over a given partition: its steps' classes added up."""
+    steps = _flow_over_partition(path, alg, partition, DEFAULT_TOL)
+    return sum((c for c, _ in steps), K0Class.zero(alg.n_ideal))
 
 
 def endpoint_rank_oracle(path, alg) -> tuple[int, ...]:

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from vnflow import (
-    DEFAULT_TOL,
     BlockOperator,
     OperatorPath,
     bounded_transform,
@@ -34,9 +33,10 @@ from vnflow import (
     tau_star,
     weighted_model,
 )
-from vnflow.flow import _flow_over_partition
 
 from conftest import (
+    endpoint_rank_oracle,
+    flow_over,
     op,
     random_certified_path,
     random_matrix,
@@ -137,11 +137,9 @@ def test_criterion_04_partition_and_homotopy_invariance():
             parts = list(result.partition)
             mids = [0.5 * (a + b) for a, b in zip(parts, parts[1:])]
             refined = sorted(set(parts) | set(mids))
-            flow_refined, _, closed_refined = _flow_over_partition(
-                path, alg, refined, DEFAULT_TOL
-            )
+            flow_refined = flow_over(path, alg, refined)
             assert flow_refined == result.k0
-            assert closed_refined == result.k0
+            assert flow_refined.ranks == endpoint_rank_oracle(path, alg)
 
             rng = np.random.default_rng(10_000 + seed)
             frames = list(path.keyframes)

@@ -36,6 +36,7 @@ from vnflow.flow import _flow_over_partition
 
 from conftest import (
     endpoint_rank_oracle,
+    flow_over,
     haar_unitary,
     op,
     random_certified_path,
@@ -204,11 +205,10 @@ def test_partition_refines_under_quotient_rotation():
     parts = find_partition(path, alg)
     assert len(parts) > 2
     # refining the partition does not change the class
-    flow, _, _ = _flow_over_partition(path, alg, parts, DEFAULT_TOL)
+    flow = flow_over(path, alg, parts)
     mids = [0.5 * (a + b) for a, b in zip(parts, parts[1:])]
     refined = sorted(set(parts) | set(mids))
-    flow2, _, _ = _flow_over_partition(path, alg, refined, DEFAULT_TOL)
-    assert flow == flow2
+    assert flow_over(path, alg, refined) == flow
 
 
 def _chi_spread(path, alg, a, b, n):
@@ -267,10 +267,10 @@ def test_flow_of_constant_path_is_zero():
 
 
 def test_calibration_instance():
-    alg = single_block_alg(2)
-    result = spectral_flow_result(_calibration_path(), alg)
+    alg, path = single_block_alg(2), _calibration_path()
+    result = spectral_flow_result(path, alg)
     assert result.k0.ranks == (-1,)
-    assert result.closed_form.ranks == (-1,)
+    assert result.k0.ranks == endpoint_rank_oracle(path, alg)
     assert tau_star(result.k0, alg) == -1.0
 
 
@@ -299,9 +299,9 @@ def test_flow_partition_refinement_invariance_random():
         parts = list(result.partition)
         mids = [0.5 * (a + b) for a, b in zip(parts, parts[1:])]
         refined = sorted(set(parts) | set(mids))
-        flow2, _, closed2 = _flow_over_partition(path, alg, refined, DEFAULT_TOL)
+        flow2 = flow_over(path, alg, refined)
         assert flow2 == result.k0
-        assert closed2 == result.k0
+        assert flow2.ranks == endpoint_rank_oracle(path, alg)
 
 
 def test_flow_homotopy_invariance_random():
@@ -445,22 +445,35 @@ def projection_pairs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(projection_pairs(), min_size=1, max_size=3))
 def test_overlap_step_dimensions_equal_relative_kernels(blocks):
-    """The flow's step dimensions ``r_P - rho`` and ``r_Q - rho`` are the ranks
-    ``relative_kernels`` takes from the eigenvalues +-1 of P - Q, and the
-    dimensions the angles were placed for."""
-    alg = weighted_model([len(p) for p, _, _ in blocks], [1.0] * len(blocks))
+    """A step from P to Q against the ranks of P ∧ (1 - Q) and (1 - P) ∧ Q that
+    ``relative_kernels`` takes from the eigenvalues +-1 of P - Q, which are the
+    dimensions the angles were placed for.  With every block in the ideal, and
+    with each block in turn off it: on an ideal block the step's class is
+    kernel minus cokernel; off the ideal the flow raises NotInIdealError
+    exactly when either rank is nonzero there, and otherwise passes or finds
+    the partition's promise broken."""
     p, q = (BlockOperator([b[k] for b in blocks]) for k in (0, 1))
-    path = OperatorPath.linear(2.0 * p - alg.identity(), 2.0 * q - alg.identity())
-    with mock.patch.object(flow, "_relative_class", wraps=flow._relative_class) as spy:
-        _flow_over_partition(path, alg, [0.0, 1.0], DEFAULT_TOL)
-    ker, coker = spy.call_args_list[0].args[:2]
-    reference = relative_kernels(p, q)
-    assert tuple(ker) == block_ranks(reference[0])
-    assert tuple(coker) == block_ranks(reference[1])
+    ker, coker = (block_ranks(r) for r in relative_kernels(p, q))
     assert list(zip(ker, coker)) == [dims for _, _, dims in blocks]
+    for off in [None, *range(len(blocks))]:
+        ideal = [i != off for i in range(len(blocks))]
+        alg = weighted_model([len(b) for b in p.blocks], [1.0] * len(blocks), ideal)
+        path = OperatorPath.linear(2.0 * p - alg.identity(), 2.0 * q - alg.identity())
+        support = off is not None and (ker[off] or coker[off])
+        try:
+            steps = _flow_over_partition(path, alg, [0.0, 1.0], DEFAULT_TOL)
+        except NotInIdealError as err:
+            assert support and err.fields["block"] == off
+            continue
+        except ConsistencyError:
+            assert off is not None and not support
+            continue
+        assert not support
+        classes = tuple(k - c for k, c, flag in zip(ker, coker, ideal) if flag)
+        assert steps[0][0].ranks == classes
 
 
-def _turn(angle: float) -> OperatorPath:
+def _turn(angle: float, keyframes: int = 9) -> OperatorPath:
     """A fixed ideal 1 x 1 block beside a non-ideal 2 x 2 block whose
     eigenbasis turns by ``angle``: chi there goes from e_1 to the turned e_1."""
 
@@ -469,7 +482,7 @@ def _turn(angle: float) -> OperatorPath:
         r = np.array([[c, -s], [s, c]])
         return op(np.eye(1), r @ np.diag([1.0, -1.0]) @ r.T)
 
-    return OperatorPath.from_function(frame, np.linspace(0.0, 1.0, 9))
+    return OperatorPath.from_function(frame, np.linspace(0.0, 1.0, keyframes))
 
 
 _TURN_ALG = weighted_model([1, 2], [1.0, 1.0], [True, False])
@@ -497,7 +510,7 @@ def test_a_coarsened_partition_breaks_the_promise_and_is_caught():
     assert str(err.value).startswith("principal sine of a step: ")
 
 
-def _run_with_partition(tmp_path, path, partition) -> int:
+def _run(tmp_path, path) -> int:
     doc = {
         "task": "spectral_flow",
         "algebra": encode_algebra(_TURN_ALG),
@@ -506,8 +519,12 @@ def _run_with_partition(tmp_path, path, partition) -> int:
     }
     task = tmp_path / "task.json"
     task.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["run", str(task), "--out", str(tmp_path / "report.json")])
+
+
+def _run_with_partition(tmp_path, path, partition) -> int:
     with mock.patch.object(flow, "find_partition", lambda *args: partition):
-        return main(["run", str(task), "--out", str(tmp_path / "report.json")])
+        return _run(tmp_path, path)
 
 
 def test_a_promise_broken_inside_the_flow_exits_4(tmp_path, capsys):
@@ -527,3 +544,14 @@ def test_a_step_rank_mismatch_off_the_ideal_is_not_in_the_ideal(tmp_path, capsys
     assert str(err.value) == "p - q must vanish off the ideal: 1.000e+00 > 2.000e-08 on block 1"
     assert _run_with_partition(tmp_path, path, [0.0, 1.0]) == 3
     assert "p - q must vanish off the ideal" in capsys.readouterr().err
+
+
+def test_a_long_path_off_the_ideal_is_certified_step_by_step(tmp_path):
+    # twenty full turns of the non-ideal block: every step keeps the promise,
+    # though the product of all its cosines falls far below any kernel cut
+    path = _turn(40.0 * math.pi, 20 * 64 + 1)
+    result = spectral_flow_result(path, _TURN_ALG)
+    assert result.k0.ranks == (0,)
+    assert len(result.steps) > 290
+    assert all(step.min_cosine >= _PROMISE for step in result.steps)
+    assert _run(tmp_path, path) == 0

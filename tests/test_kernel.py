@@ -954,7 +954,7 @@ def _projection_imports(tree: ast.AST) -> list[str]:
 
 
 def test_the_flow_forms_no_projection():
-    """Steps and closed form are read off principal angles: flow.py reaches
+    """Steps are read off chi's counts and principal angles: flow.py reaches
     none of the projection routes."""
     assert _projection_imports(ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))) == []
 
@@ -966,7 +966,7 @@ def test_projection_guard_sees_the_patterns():
         "from .projections import chi, kernel_pair, proj_intersection, relative_kernels\n"
         "from . import projections\n"
         "import vnflow.projections\n"
-        "from .model import _chi_bases, _svd, check_blocks\n"
+        "from .model import _chi_counts, _svd, check_blocks\n"
     )
     assert len(_projection_imports(ast.parse(source))) == 6
 

@@ -40,7 +40,7 @@ from vnflow import (
     unitary_log,
     weighted_model,
 )
-from vnflow.model import DEFAULT_TOL, _quotient
+from vnflow.model import DEFAULT_TOL, _quotient, _selection
 from vnflow.pairing import _LOG_TOL
 
 from conftest import (
@@ -293,16 +293,22 @@ def test_route_budgets_on_a_single_block_dirac_triple(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_a_flow_takes_one_eigh_per_point_and_one_svd_per_step_and_chain(monkeypatch, seed):
-    """Per stack: one eigendecomposition for chi's kept basis at each partition
-    point, and the singular values of each step's overlap and of the chained
-    overlaps of the closed form; no projection is decomposed."""
+def test_a_flow_takes_one_eigh_per_point_and_one_svd_per_step(monkeypatch, seed):
+    """At each partition point, chi's counts from the eigenvalues of each stack
+    of ideal blocks and its kept basis from one eigendecomposition of each
+    stack of non-ideal blocks; per step, the singular values of each non-ideal
+    stack's overlap; and the certify stage's eigenvalues of each non-ideal
+    stack at each time it read.  No projection is decomposed."""
     alg, path = random_certified_path(seed)
-    stacks = len(path.keyframes[0][1]._stacks)
+    dims = path.keyframes[0][1].dims
+    ideal = len(_selection(dims, alg.ideal_indices))
+    nonideal = len(_selection(dims, alg.nonideal_indices))
     calls = _counting(monkeypatch)
     result = spectral_flow_result(path, alg)
-    assert len(calls["eigh"]) == stacks * len(result.partition)
-    assert len(calls["svd"]) == stacks * (len(result.steps) + 1)
+    points, read = len(result.partition), len(result.certificate.spectra)
+    assert len(calls["eigh"]) == nonideal * points
+    assert len(calls["svd"]) == nonideal * len(result.steps)
+    assert len(calls["eigvalsh"]) == ideal * points + nonideal * read
 
 
 def test_a_corner_index_takes_one_svd_per_mask_group(monkeypatch):
