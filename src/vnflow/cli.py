@@ -62,6 +62,7 @@ TASKS = (
 )
 
 _TRACK_SAMPLES = 201
+_TRACK_CHUNK_BYTES = 1 << 23  # working memory of one chunk of track samples
 
 # Largest accepted modulus of a matrix entry, and largest block weight.  A
 # product of two n x n matrices within this bound has entries of modulus at
@@ -484,16 +485,35 @@ def _run_generate(doc) -> dict:
 
 
 def _write_tracks(track, out_file: str) -> None:
-    lines = ["t,block,index,eigenvalue"]
-    for t in np.linspace(0.0, 1.0, _TRACK_SAMPLES):
-        op = track(t)
-        for bi, w in enumerate(op._in_block_order(map(_eigvalsh, op._stacks))):
-            for ei, val in enumerate(w):
-                lines.append(
-                    f"{format(float(t), '.17g')},{bi},{ei},{format(float(val), '.17g')}"
-                )
+    """Write the eigenvalues of ``track(t)``, block by block, at each sample t.
+
+    The samples are taken in chunks: each block-size stack of a chunk's
+    operators is copied into one array and takes one ``_eigvalsh``.  A chunk
+    holds as many samples as fit ``_TRACK_CHUNK_BYTES`` together with the two
+    temporaries of the Hermitian part, and at least one.  The file is written
+    only once every value is known.
+    """
+    samples = np.linspace(0.0, 1.0, _TRACK_SAMPLES)
+    op = track(samples[0])
+    size = max(1, _TRACK_CHUNK_BYTES // (3 * sum(st.nbytes for st in op._stacks)))
+    # a sample's lines, one per eigenvalue in block order; "@" stands for its t
+    template = "".join(f"@,{bi},{ei},%.17g\n" for bi, n in enumerate(op.dims) for ei in range(n))
+    text = ["t,block,index,eigenvalue\n"]
+    for lo in range(0, _TRACK_SAMPLES, size):
+        chunk = samples[lo : lo + size]
+        stacks = [np.empty((len(chunk), *st.shape), dtype=complex) for st in op._stacks]
+        for j, t in enumerate(chunk):
+            op = op if lo == j == 0 else track(t)  # the first was taken to size the chunks
+            for buf, st in zip(stacks, op._stacks):
+                buf[j] = st
+        per_block = op._in_block_order(_eigvalsh(buf).swapaxes(0, 1) for buf in stacks)
+        rows = np.concatenate(per_block, axis=1).tolist()  # (sample, eigenvalue)
+        text.extend(
+            template.replace("@", format(t, ".17g")) % tuple(row)
+            for t, row in zip(chunk.tolist(), rows)
+        )
     with open(out_file, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(text)
 
 
 # A runner returns the report and, for a task with a path, t -> the operator

@@ -28,6 +28,7 @@ from .model import (
     Tolerances,
     VnAlgebra,
     _frobenius,
+    _frozen,
     _largest,
     _max_norm,
     _norm_eps,
@@ -77,7 +78,10 @@ class VnTriple:
     transform and ``p`` the nonnegative spectral projection of F.
     ``resolvent_residuals`` records the non-ideal support of a (i - D)^(-1),
     verified negligible; ``commutator_norms``, ||[D, a]|| per generator, is
-    computed on first read.
+    computed on first read.  ``_quadratures`` memoizes the scalar integrals of
+    ``resolvent_integral_check``, which depend only on D's squares and the
+    quadrature's ``(theta_max, eps_rate)``; it lives with the triple, so a
+    fresh triple computes its own.
     """
 
     alg: VnAlgebra
@@ -91,6 +95,10 @@ class VnTriple:
     def commutator_norms(self) -> Mapping[str, float]:
         d = self.D
         return MappingProxyType({n: (d @ a - a @ d).norm() for n, a in self.generators.items()})
+
+    @cached_property
+    def _quadratures(self) -> dict:
+        return {}
 
     def generator(self, name: str) -> BlockOperator:
         try:
@@ -247,8 +255,11 @@ def resolvent_integral_check(
     integral), and the budget is divided by that factor.  The budget, which
     also fixes the truncation angle, is a thousandth of the pass bound
     max(1e-5, 1e-6 ||direct||), so the direct formula is formed first.
-    ``evaluations`` counts nodes.  Returns the norm of the difference from the
-    direct formula; a generator ``a`` given by name uses the recorded ||[D, a]||.
+    ``evaluations`` counts nodes.  The integrals are kept on the triple, keyed
+    by the exact ``(theta_max, eps_rate)``, and a later check with the same key
+    reuses them, so the checks of one triple run each distinct quadrature once.
+    Returns the norm of the difference from the direct formula; a generator
+    ``a`` given by name uses the recorded ||[D, a]||.
     """
     name = a if isinstance(a, str) else None
     a, b = (triple.generator(x) if isinstance(x, str) else x for x in (a, b))
@@ -292,7 +303,11 @@ def resolvent_integral_check(
         for (w, _), r, ap in zip(eig, idx, primes)
     )
     eps_rate = 0.5 * budget / (theta_max * transfer) if transfer else math.inf
-    g, evaluations = _adaptive_simpson(integrand, theta_max, eps_rate)
+    key = (theta_max, eps_rate)
+    if key not in triple._quadratures:
+        g, evaluations = _adaptive_simpson(integrand, theta_max, eps_rate)
+        triple._quadratures[key] = _frozen(g)[0], evaluations  # shared by later checks
+    g, evaluations = triple._quadratures[key]
 
     total = [
         v @ (w[..., None] * (g[r][..., None] - g[r][..., None, :]) * ap) @ v.conj().mT @ bb

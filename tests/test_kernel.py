@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from vnflow import (
     range_projection,
     resolvent_integral_check,
 )
-from vnflow import cli, triples
+from vnflow import cli, dirac_circle, triples
 from vnflow.triples import IntegralCheck
 from vnflow.model import _spectral_norm
 
@@ -420,6 +422,37 @@ def test_resolvent_quadrature_makes_one_integrand_call_per_level(monkeypatch):
     assert len({count for _, count in seen}) == 1 and seen[0][1] > 0
 
 
+@pytest.mark.parametrize("m, k", [(3, 1), (4, -2), (5, 3)])
+def test_checks_of_one_triple_share_their_quadratures(monkeypatch, m, k):
+    """The nine pairs of generators 1, u, u* need two distinct quadratures: the
+    pairs with a = 1, whose commutator with D vanishes, and the six others.  One triple runs each once
+    and keeps it; every check equals, bit for bit, that of a fresh triple."""
+    names = ("1", "u", "u*")
+
+    def bits(check: IntegralCheck) -> tuple:
+        return tuple(x.hex() if isinstance(x, float) else x for x in astuple(check))
+
+    fresh = {
+        (a, b): bits(resolvent_integral_check(dirac_circle(m, k)[0], a, b))
+        for a in names
+        for b in names
+    }
+    runs = []
+    simpson = triples._adaptive_simpson
+
+    def counting_simpson(f, end, eps_rate):
+        runs.append((end, eps_rate))
+        return simpson(f, end, eps_rate)
+
+    monkeypatch.setattr(triples, "_adaptive_simpson", counting_simpson)
+    triple = dirac_circle(m, k)[0]
+    assert triple._quadratures == {}
+    shared = {(a, b): bits(resolvent_integral_check(triple, a, b)) for a in names for b in names}
+    assert shared == fresh
+    assert len(runs) == len(set(runs)) == 2 and set(triple._quadratures) == set(runs)
+    assert dirac_circle(m, k)[0]._quadratures == {}
+
+
 def test_adaptive_simpson_stops_at_depth_44():
     """A spike at 0 keeps one interval open on every level, so the quadrature
     runs its 45 levels with one integrand call each."""
@@ -477,18 +510,38 @@ def test_large_norm_triples_are_checked_within_their_bound(case):
     assert check.truncation_bound == pytest.approx(bound / 2000.0, rel=1e-12)
 
 
-def test_tracks_make_one_eigvalsh_call_per_block_dimension(tmp_path, monkeypatch):
+def _tracks(kind: str):
+    """A track and its block dimensions: a linear path, a 7-keyframe path with
+    a keyframe at t = 0.5 on the sample grid, or the bounded transform of
+    D + A_t that the CLI lists for an ``sf_unbounded`` document."""
     rng = np.random.default_rng(9)
     dims = [2, 3, 2, 1, 3, 2]
-    path = OperatorPath.linear(
-        BlockOperator([random_selfadjoint(n, rng) for n in dims]),
-        BlockOperator([random_selfadjoint(n, rng) for n in dims]),
-    )
-    lines = ["t,block,index,eigenvalue"]
-    for t in np.linspace(0.0, 1.0, cli._TRACK_SAMPLES):
-        for bi, block in enumerate(path.at(t).blocks):
-            for ei, val in enumerate(np.linalg.eigvalsh(_herm(block))):
-                lines.append(f"{format(float(t), '.17g')},{bi},{ei},{format(float(val), '.17g')}")
+
+    def frame():
+        return BlockOperator([random_selfadjoint(n, rng) for n in dims])
+
+    if kind == "linear":
+        return OperatorPath.linear(frame(), frame()).at, dims
+    if kind == "keyframes":
+        times = np.linspace(0.0, 1.0, 7)
+        assert 0.5 in times.tolist() and 0.5 in np.linspace(0.0, 1.0, cli._TRACK_SAMPLES)
+        return OperatorPath([(float(t), frame()) for t in times]).at, dims
+    alg = VnAlgebra(Block(dim=n) for n in dims)
+    ops = {"1": alg.identity(), "D": frame(), "A0": frame(), "A1": frame()}
+    doc = {
+        "task": "sf_unbounded",
+        "algebra": cli.encode_algebra(alg),
+        "operators": {name: cli.encode_operator(op) for name, op in ops.items()},
+        "triple": {"generators": ["1"], "D": "D"},
+        "path": {"keyframes": [{"t": 0.0, "op": "A0"}, {"t": 1.0, "op": "A1"}]},
+    }
+    _, track = cli.run_task(doc, cli._build_parser().parse_args(["run", "doc.json"]))
+    return track, dims
+
+
+def test_tracks_make_one_eigvalsh_call_per_block_dimension(tmp_path, monkeypatch):
+    """Every sample fits one chunk here, so the tracks take one eigvalsh per
+    block dimension, and the file is byte for byte the per-block listing."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -497,10 +550,47 @@ def test_tracks_make_one_eigvalsh_call_per_block_dimension(tmp_path, monkeypatch
         return eigvalsh(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    out = tmp_path / "tracks.csv"
-    cli._write_tracks(path.at, str(out))
-    assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
-    assert len(calls) == len(set(dims)) * cli._TRACK_SAMPLES
+    for kind in ("linear", "keyframes", "sf_unbounded"):
+        track, dims = _tracks(kind)
+        lines = ["t,block,index,eigenvalue"]
+        for t in np.linspace(0.0, 1.0, cli._TRACK_SAMPLES):
+            for bi, block in enumerate(track(t).blocks):
+                for ei, val in enumerate(eigvalsh(_herm(block))):
+                    lines.append(f"{float(t):.17g},{bi},{ei},{float(val):.17g}")
+        calls.clear()
+        out = tmp_path / f"{kind}.csv"
+        cli._write_tracks(track, str(out))
+        assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n", kind
+        assert len(calls) == len(set(dims)) == 3, kind
+
+
+def test_tracks_hold_one_chunk_of_samples_at_a_time(tmp_path, monkeypatch):
+    """One 256-dim block: all 201 samples would take about 200 MB, but the
+    traced peak stays within the chunk budget and a few samples' size.  The
+    eigenvalues are stubbed (zeros of the right shape), so the test measures
+    the working set and not LAPACK time."""
+    rng = np.random.default_rng(10)
+    path = OperatorPath.linear(
+        BlockOperator([random_selfadjoint(256, rng)]),
+        BlockOperator([random_selfadjoint(256, rng)]),
+    )
+    sample = path.at(0.5)._stacks[0].nbytes
+    assert sample * cli._TRACK_SAMPLES > 200e6
+    calls = []
+
+    def zeros(x, *args, **kwargs):
+        calls.append(np.shape(x)[0])
+        return np.zeros(np.shape(x)[:-1])
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", zeros)
+    tracemalloc.start()
+    try:
+        cli._write_tracks(path.at, str(tmp_path / "tracks.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli._TRACK_CHUNK_BYTES + 4 * sample
+    assert sum(calls) == cli._TRACK_SAMPLES and len(calls) > 1
 
 
 # -- the Frobenius screen and the zero shortcut ----------------------------------
