@@ -71,6 +71,9 @@ _TRACK_CHUNK_BYTES = 1 << 23  # working memory of one chunk of track samples
 # nor can a trace sum of weight * rank.
 MAX_ENTRY = 1e150
 
+# Largest block ``generate`` builds, checked first: the m = 64 Dirac window.
+GENERATE_MAX_DIM = 129
+
 # The JSON number types; bool, a subclass of int, is left out.
 _NUMBER = (int, float)
 
@@ -445,6 +448,7 @@ def _run_generate(doc) -> dict:
     if model == "dirac":
         m = _integer(doc.get("m", 8), "m")
         k = _integer(doc.get("k", 1), "k")
+        _expect(2 * m + 1 <= GENERATE_MAX_DIM, f"dirac dimension 2m + 1 exceeds {GENERATE_MAX_DIM}")
         triple, u = dirac_circle(m, k)
         out = {
             "task": "sf_unitary",
@@ -461,6 +465,7 @@ def _run_generate(doc) -> dict:
         return out
     if model == "crossing":
         n = _integer(doc.get("n", 2), "n")
+        _expect(n <= GENERATE_MAX_DIM, f"crossing dimension n exceeds {GENERATE_MAX_DIM}")
         crossings = doc.get("crossings", [])
         _expect(isinstance(crossings, list), "crossings must be a list")
         crossings = [_integer(c, "crossing") for c in crossings]
@@ -625,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.taskfile, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
             raise SchemaError(f"cannot read task document: {exc}") from exc
 
         report, track = run_task(doc, args)

@@ -31,7 +31,6 @@ from .model import (
     _svd,
     check_residual,
     check_support,
-    quotient_norm,
 )
 from .projections import _require_finite, kernel_pair
 
@@ -113,7 +112,8 @@ def _corner(s: BlockOperator, p: BlockOperator, q: BlockOperator, alg: VnAlgebra
     reports = tuple(CornerBlockReport(i, *blocks[i]) for i in alg.nonideal_indices)
     fredholm = all(r.invertible and r.smallest_singular_value > tol.gap for r in reports)
     min_gap = min((r.smallest_singular_value for r in reports), default=math.inf)
-    return FredholmReport(fredholm, min_gap, reports), [s._like(st, ranks=r) for st, r in kernels]
+    kernels = [s._like(s.dims, st, ranks=r) for st, r in kernels]
+    return FredholmReport(fredholm, min_gap, reports), kernels
 
 
 def is_corner_fredholm(
@@ -187,9 +187,8 @@ def boundary_map_result(
     against ``eps_gap`` (defaults to the gap tolerance); its two residuals
     are returned as ``quotient_unitarity_left`` and ``quotient_unitarity_right``.
     """
-    alg.require_conformal(s)
     bound = tol.gap if eps_gap is None else eps_gap
-    left, right = _quotient_unitarity(s, alg, bound, "the lift")
+    left, right = _quotient_unitarity(s, alg, bound, "the lift")  # checks s conformal first
     return CheckedClass.of(
         *kernel_pair(s, tol), alg, tol,
         quotient_unitarity_left=left, quotient_unitarity_right=right,
@@ -201,8 +200,8 @@ def _quotient_unitarity(s: BlockOperator, alg: VnAlgebra, bound: float, name: st
     s, one = _quotient(s, alg), _quotient(alg.identity(), alg)
     what = f"quotient image of {name} must be unitary"
     return (
-        check_residual(f"{what} (left)", quotient_norm(s.H @ s - one, alg), bound),
-        check_residual(f"{what} (right)", quotient_norm(s @ s.H - one, alg), bound),
+        check_residual(f"{what} (left)", (s.H @ s - one).norm(), bound),
+        check_residual(f"{what} (right)", (s @ s.H - one).norm(), bound),
     )
 
 

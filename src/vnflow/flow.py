@@ -20,8 +20,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConsistencyError, NotInIdealError, PartitionError, PathError
-from .model import DEFAULT_TOL, K0Class, OperatorPath, Tolerances, VnAlgebra, tau_star
-from .model import _chi_counts, _eigvalsh, _norm_eps, _svd, check_blocks, check_residual
+from .model import DEFAULT_TOL, K0Class, OperatorPath, Tolerances, VnAlgebra, _groups, tau_star
+from .model import _chi_counts, _eigvalsh, _norm_eps, _quotient, _svd, check_blocks, check_residual
 
 __all__ = [
     "PathCertificate", "FlowStep", "FlowResult", "certify_path", "find_partition",
@@ -32,27 +32,28 @@ _CERTIFY_MAX_DEPTH = 48
 
 
 class _Spectra(dict):
-    """Memo t -> (gap, sides) of the quotient spectrum along one path: the
-    smallest eigenvalue modulus, and per non-ideal block (columns) the smallest
+    """Memo t -> (gap, sides) of the spectrum along a path of quotient images:
+    the smallest eigenvalue modulus, and per block (columns) the smallest
     nonnegative eigenvalue, the smallest modulus of a negative one (inf for an
     empty side) and the number of negative eigenvalues (rows).
 
     Splitting at 0 is chi's split wherever the path is certified: there every
     quotient eigenvalue is farther from 0 than chi's zero threshold."""
 
-    def __init__(self, path: OperatorPath, alg: VnAlgebra) -> None:
+    def __init__(self, path: OperatorPath) -> None:
         super().__init__()
-        self.path, self.nonideal = path, alg.nonideal_indices
+        self.path = path
 
     def __missing__(self, t: float) -> tuple[float, np.ndarray]:
-        sides = np.empty((3, len(self.nonideal)))
+        op = self.path.at(t)
+        sides = np.empty((3, len(op.dims)))
         gap = np.inf
-        for pos, st in self.path.at(t)._stacks_of(self.nonideal):
+        for idx, st in zip(_groups(op.dims), op._stacks):
             w = _eigvalsh(st)
             neg = w < 0.0
-            sides[0, pos] = np.minimum.reduce(np.where(neg, np.inf, w), axis=1)
-            sides[1, pos] = np.minimum.reduce(np.where(neg, -w, np.inf), axis=1)
-            sides[2, pos] = np.add.reduce(neg, axis=1)
+            sides[0, idx] = np.minimum.reduce(np.where(neg, np.inf, w), axis=1)
+            sides[1, idx] = np.minimum.reduce(np.where(neg, -w, np.inf), axis=1)
+            sides[2, idx] = np.add.reduce(neg, axis=1)
             gap = np.minimum(gap, np.minimum.reduce(np.abs(w), axis=None))
         self[t] = (float(gap), sides)
         return self[t]
@@ -111,7 +112,9 @@ def certify_path(
     from zero.  A sample whose quotient gap falls to the floor is a hard
     failure.  The floor is the gap tolerance or, if larger, chi's zero
     threshold at the largest keyframe norm, so that chi splits every
-    certified quotient spectrum at 0.
+    certified quotient spectrum at 0.  The keyframe checks and the floor read
+    the keyframes; the gaps and movements read the path of their quotient
+    images, whose points are bitwise the images of the path's points.
     """
     alg.require_conformal(path.keyframes[0][1])
     for t, op in path.keyframes:
@@ -119,7 +122,8 @@ def certify_path(
     if alg.all_ideal:
         return PathCertificate(vacuous=True, min_gap=math.inf, lipschitz=0.0, samples=path.times)
 
-    spectra = _Spectra(path, alg)
+    images = OperatorPath([(t, _quotient(op, alg)) for t, op in path.keyframes])
+    spectra = _Spectra(images)
     segments: list[tuple[float, float, np.ndarray]] = []
     floor = _norm_eps(
         lambda n: max(tol.gap, tol.kernel_eps(n)), tol.gap, (op for _, op in path.keyframes)
@@ -135,10 +139,8 @@ def certify_path(
             )
         return g
 
-    nonideal = alg.nonideal_indices
-
     def movement(a: float, b: float) -> np.ndarray:
-        return (path.at(b) - path.at(a))._block_norms(nonideal)
+        return (images.at(b) - images.at(a))._block_norms(tuple(range(len(images.dims))))
 
     def certify_segment(a: float, b: float, move: np.ndarray, depth: int) -> None:
         if (gap_at(a) + gap_at(b) - move.max()) / 2.0 > floor:

@@ -17,7 +17,7 @@ import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -357,19 +357,19 @@ class VnAlgebra:
             raise ModelError("an algebra needs at least one block")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(b.dim for b in self.blocks)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[float, ...]:
         return tuple(b.weight for b in self.blocks)
 
-    @property
+    @cached_property
     def ideal_indices(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.blocks) if b.in_ideal)
 
-    @property
+    @cached_property
     def nonideal_indices(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.blocks) if not b.in_ideal)
 
@@ -394,13 +394,14 @@ class VnAlgebra:
             )
 
 
-def _groups(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+@lru_cache(maxsize=256)
+def _groups(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The indices of the blocks of each dimension, dimensions in order of
     first appearance: the layout of an operator's stacks."""
     by_dim: dict[int, list[int]] = {}
     for i, n in enumerate(dims):
         by_dim.setdefault(n, []).append(i)
-    return _frozen(*[np.array(idx) for idx in by_dim.values()])
+    return tuple(map(tuple, by_dim.values()))
 
 
 @lru_cache(maxsize=256)
@@ -409,7 +410,7 @@ def _selection(dims: tuple[int, ...], blocks: tuple[int, ...]) -> tuple:
     its number, the positions in ``blocks`` of its blocks, and their rows in
     the stack (None for all rows in order)."""
     groups = _groups(dims)
-    place = {i: (s, r) for s, idx in enumerate(groups) for r, i in enumerate(idx.tolist())}
+    place = {i: (s, r) for s, idx in enumerate(groups) for r, i in enumerate(idx)}
     picked: dict[int, list[tuple[int, int]]] = {}
     for pos, i in enumerate(blocks):
         s, r = place[range(len(dims))[i]]
@@ -433,10 +434,12 @@ class BlockOperator:
     """An element of the model: one complex square matrix per block.
 
     The blocks are stored grouped by dimension, one read-only (k, n, n) stack
-    per dimension, so that the kernel makes one LAPACK call per stack.
-    ``blocks`` gives read-only views in block order.  Instances are immutable;
-    the stacks are copies of the input blocks.  The norm and the selfadjoint /
-    projection / unitary defects (spectral norms) are cached on first use.
+    per dimension (the layout ``_groups(dims)``), so that the kernel makes one
+    LAPACK call per stack.  ``blocks`` gives read-only views in block order.
+    Instances are immutable: only ``__init__`` and ``_like`` set their slots,
+    and the stacks are copies of the input blocks.  The block views, the norm
+    and the selfadjoint / projection / unitary defects (spectral norms) are
+    cached on first use.
     The ``is_*`` and ``require_*`` checks first screen the defect matrices with
     one Frobenius norm over all of them and pass without an SVD when it proves
     the defect small enough; otherwise they compare, and report, the spectral
@@ -445,7 +448,7 @@ class BlockOperator:
     block.
     """
 
-    __slots__ = ("dims", "_groups", "_stacks", "_blocks", "_cache", "_seed", "_ranks")
+    __slots__ = ("dims", "_stacks", "_cache", "_seed", "_ranks")
 
     def __init__(self, blocks: Sequence[np.ndarray]) -> None:
         mats = []
@@ -457,20 +460,19 @@ class BlockOperator:
         if not mats:
             raise ModelError("an operator needs at least one block")
         self.dims: tuple[int, ...] = tuple(m.shape[0] for m in mats)
-        self._groups = _groups(self.dims)
-        self._stacks = _frozen(*[np.array([mats[i] for i in idx.tolist()]) for idx in self._groups])
-        self._blocks: tuple[np.ndarray, ...] | None = None
+        self._stacks = _frozen(*[np.array([mats[i] for i in idx]) for idx in _groups(self.dims)])
         self._cache: dict = {}
         self._seed = self._ranks = None
 
-    def _like(self, stacks: list[np.ndarray], seed=None, ranks=None) -> "BlockOperator":
-        """An operator with this one's block structure that takes over
-        ``stacks``: new C-contiguous complex arrays, one per stack of this one.
+    @staticmethod
+    def _like(dims: tuple[int, ...], stacks: list, seed=None, ranks=None) -> "BlockOperator":
+        """The operator of blocks ``dims`` that takes over ``stacks``: new
+        C-contiguous complex arrays, one per stack of the layout ``_groups(dims)``.
         Stacks built as ``v diag(w) v*`` keep ``seed``, ``(w, v)`` per stack, and
         a projection built from masks keeps their counts per stack as ``ranks``."""
         op = object.__new__(BlockOperator)
-        op.dims, op._groups, op._blocks, op._cache = self.dims, self._groups, None, {}
-        op._stacks, op._seed, op._ranks = _frozen(*stacks), seed, ranks
+        op.dims, op._stacks, op._cache = dims, _frozen(*stacks), {}
+        op._seed, op._ranks = seed, ranks
         return op
 
     def _eig(self) -> Iterable[tuple[np.ndarray, np.ndarray]]:
@@ -488,17 +490,17 @@ class BlockOperator:
     def _in_block_order(self, per_stack: Iterable[Iterable]) -> list:
         """Items given per stack, one per block of the stack, in block order."""
         out: list = [None] * len(self.dims)
-        for idx, items in zip(self._groups, per_stack):
-            for i, item in zip(idx.tolist(), items):
+        for idx, items in zip(_groups(self.dims), per_stack):
+            for i, item in zip(idx, items):
                 out[i] = item
         return out
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """One read-only (dim, dim) view per block, in block order."""
-        if self._blocks is None:
-            self._blocks = tuple(self._in_block_order(self._stacks))
-        return self._blocks
+        if "blocks" not in self._cache:
+            self._cache["blocks"] = tuple(self._in_block_order(self._stacks))
+        return self._cache["blocks"]
 
     # -- functional calculus ---------------------------------------------------
 
@@ -508,7 +510,8 @@ class BlockOperator:
         ``fn`` gives a selfadjoint result, seeded with ``(fn(w), v)``."""
         seed = [(fn(w), v) for w, v in self._eig()]
         stacks = [(v * fw[:, None, :]) @ v.conj().mT for fw, v in seed]
-        return self._like(stacks, seed if all(np.isrealobj(fw) for fw, _ in seed) else None)
+        real = all(np.isrealobj(fw) for fw, _ in seed)
+        return self._like(self.dims, stacks, seed if real else None)
 
     def spectral_projection(self, keep: Callable[[np.ndarray], np.ndarray]) -> "BlockOperator":
         """Projection onto the eigenvectors of the Hermitian part whose
@@ -527,14 +530,14 @@ class BlockOperator:
                 mask = keep(w)
                 out.append(_projector(mask, lambda rows, kept: _gram(v[rows][..., kept])))
                 counts.append(np.count_nonzero(mask, axis=-1))
-        return [self._like(st, ranks=r) for st, r in zip(stacks, ranks)]
+        return [self._like(self.dims, st, ranks=r) for st, r in zip(stacks, ranks)]
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def H(self) -> "BlockOperator":
         """The adjoint (blockwise conjugate transpose)."""
-        return self._like([np.ascontiguousarray(st.conj().mT) for st in self._stacks])
+        return self._like(self.dims, [np.ascontiguousarray(st.conj().mT) for st in self._stacks])
 
     def norm(self) -> float:
         """Operator norm: the maximum spectral norm over all blocks."""
@@ -662,7 +665,7 @@ class BlockOperator:
             return NotImplemented
         if self.dims != other.dims:
             raise ModelError(f"block shape mismatch: {self.dims} vs {other.dims}")
-        return self._like([fn(a, b) for a, b in zip(self._stacks, other._stacks)])
+        return self._like(self.dims, [fn(a, b) for a, b in zip(self._stacks, other._stacks)])
 
     def __add__(self, other):
         return self._binary(other, operator.add)
@@ -674,11 +677,11 @@ class BlockOperator:
         return self._binary(other, operator.matmul)
 
     def __neg__(self):
-        return self._like([-st for st in self._stacks])
+        return self._like(self.dims, [-st for st in self._stacks])
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex)):
-            return self._like([scalar * st for st in self._stacks])
+            return self._like(self.dims, [scalar * st for st in self._stacks])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -769,7 +772,7 @@ class OperatorPath:
         times = [t for t, _ in frames]
         if times[0] != 0.0 or times[-1] != 1.0:
             raise ModelError("keyframe times must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not all(a < b for a, b in zip(times, times[1:])):  # a NaN time fails
             raise ModelError("keyframe times must be strictly increasing")
         dims = frames[0][1].dims
         for _, op in frames:
@@ -806,7 +809,8 @@ class OperatorPath:
         t0, op0 = self.keyframes[idx]
         t1, op1 = self.keyframes[idx + 1]
         s = (t - t0) / (t1 - t0)
-        return op0._like([(1.0 - s) * a + s * b for a, b in zip(op0._stacks, op1._stacks)])
+        stacks = [(1.0 - s) * a + s * b for a, b in zip(op0._stacks, op1._stacks)]
+        return op0._like(self.dims, stacks)
 
     def reversed(self) -> "OperatorPath":
         frames = [(1.0 - t, op) for t, op in reversed(self.keyframes)]
@@ -835,25 +839,20 @@ class OperatorPath:
 def _quotient(op: BlockOperator, alg: VnAlgebra) -> BlockOperator:
     """The image of ``op`` in the quotient: its non-ideal blocks as an operator
     of their own (of no blocks when all are ideal).  The quotient map acts
-    block by block, so sums and products of images are bitwise the images of
-    the sums and products, formed without the ideal blocks."""
+    block by block, so sums, products and norms of images are bitwise those
+    of the model's operators in the quotient, formed without the ideal blocks."""
     alg.require_conformal(op)
-    image = op._like([st for _, st in op._stacks_of(alg.nonideal_indices)])
-    image.dims = tuple(op.dims[i] for i in alg.nonideal_indices)
-    image._groups = _groups(image.dims)
-    return image
+    dims = tuple(op.dims[i] for i in alg.nonideal_indices)
+    return op._like(dims, [st for _, st in op._stacks_of(alg.nonideal_indices)])
 
 
 def quotient_norm(op: BlockOperator, alg: VnAlgebra) -> float:
     """Norm of the image in the quotient: max spectral norm over non-ideal blocks.
 
-    ``op`` is an operator of the model or an image made by ``_quotient``.
-    Returns 0 when every block belongs to the ideal (the quotient is zero).
+    ``op`` is an operator of the model; an image made by ``_quotient`` has it
+    as its ``norm()``.  Returns 0 when every block is ideal (a zero quotient).
     """
-    if op.dims == tuple(alg.dims[i] for i in alg.nonideal_indices):
-        return op.norm()  # an image (or, with no ideal block, op itself)
-    alg.require_conformal(op)
-    return _max_norm(st for _, st in op._stacks_of(alg.nonideal_indices))
+    return _quotient(op, alg).norm()
 
 
 def block_ranks(p: BlockOperator) -> tuple[int, ...]:

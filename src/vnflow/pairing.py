@@ -24,7 +24,6 @@ from .model import (
     _quotient,
     _unitary_eig,
     check_residual,
-    quotient_norm,
 )
 from .corner import _quotient_unitarity
 from .projections import kernel_pair
@@ -59,7 +58,7 @@ def unitary_log(u: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperato
         vals = np.mod(np.angle(lam), 2.0 * np.pi) / (2.0 * np.pi)
         vals[vals >= 1.0 - 1e-12] = 0.0
         seed.append((vals, z))
-    q = u._like([(z * vals[:, None, :]) @ z.conj().mT for vals, z in seed], seed)
+    q = u._like(u.dims, [(z * vals[:, None, :]) @ z.conj().mT for vals, z in seed], seed)
     _check_exp(q, u, "logarithm reconstruction error", NumericsError)
     return q
 
@@ -73,24 +72,18 @@ def _check_exp(q: BlockOperator, u: BlockOperator, what: str, error=Precondition
         check_residual(what, defect.norm(), _LOG_TOL, error)
 
 
-def cos_identity_check(
-    q: BlockOperator,
-    alg: VnAlgebra,
-    tol: Tolerances = DEFAULT_TOL,
-    eps_gap: float | None = None,
-) -> float:
+def cos_identity_check(q: BlockOperator, alg: VnAlgebra, tol: Tolerances = DEFAULT_TOL) -> float:
     """Residual of the quotient identity cos(pi q) = -(2q - 1).
 
     Valid whenever q is selfadjoint and idempotent modulo the ideal; the
     residual is bounded by a small multiple of the idempotency defect, so for
-    a defect within ``eps_gap`` it stays below ten times that.
+    a defect within the gap tolerance it stays below ten times that.
     """
-    eps = tol.gap if eps_gap is None else eps_gap
     q.require_selfadjoint("cos identity argument", tol)
     qq = _quotient(q, alg)
-    check_residual("q must be idempotent modulo the ideal", quotient_norm(qq @ qq - qq, alg), eps)
+    check_residual("q must be idempotent modulo the ideal", (qq @ qq - qq).norm(), tol.gap)
     cos_pq = _quotient(q.apply(lambda w: np.cos(np.pi * w)), alg)
-    return quotient_norm(cos_pq + 2.0 * qq - _quotient(alg.identity(), alg), alg)
+    return (cos_pq + 2.0 * qq - _quotient(alg.identity(), alg)).norm()
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,7 @@ def make_pairing_data(
     alg.require_conformal(u)
     u.require_unitary("pairing unitary", tol)
     pq = _quotient(p, alg)
-    idempotency = quotient_norm(pq @ pq - pq, alg)
+    idempotency = (pq @ pq - pq).norm()
     check_residual("p must be a projection modulo the ideal", idempotency, tol.gap)
     p.require_selfadjoint("p", tol)
 
@@ -159,7 +152,7 @@ def make_pairing_data(
                     )
 
     psi_u = _quotient(psi_map(u), alg)
-    commutator = quotient_norm(pq @ psi_u - psi_u @ pq, alg)
+    commutator = (pq @ psi_u - psi_u @ pq).norm()
     check_residual("[p, psi(u)] must be ideal-supported", commutator, tol.gap)
     return PairingData(alg=alg, p=p, u=u, q=q, psi=psi_map, commutator=commutator)
 

@@ -73,7 +73,9 @@ def _from_svd(op: BlockOperator, tol: Tolerances, kinds, above=True) -> list[Blo
         counts.append(np.count_nonzero(mask, axis=-1))
         for stacks, kind in zip(out, kinds):
             stacks.append(_projector(mask, lambda rows, keep: _PRODUCTS[kind](u, vh, rows, keep)))
-    return [op._like(st, ranks=None if k == "phase" else counts) for st, k in zip(out, kinds)]
+    return [
+        op._like(op.dims, st, ranks=None if k == "phase" else counts) for st, k in zip(out, kinds)
+    ]
 
 
 def polar_phase(op: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
@@ -146,4 +148,4 @@ def nearest_projection(e: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> Block
                 f"no spectral gap: block {i} has idempotency defect "
                 f"{defect[i]:.6g} >= 1/4"
             )
-    return e._like(e._stacks, eig).spectral_projection(lambda w: w > 0.5)
+    return e._like(e.dims, e._stacks, eig).spectral_projection(lambda w: w > 0.5)

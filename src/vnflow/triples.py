@@ -36,7 +36,6 @@ from .model import (
     block_ranks,
     check_residual,
     check_support,
-    quotient_norm,
 )
 from .projections import chi, relative_kernels
 from .corner import boundary_map_result
@@ -107,13 +106,13 @@ class VnTriple:
             raise ModelError(f"no generator named {name!r}") from None
 
 
-def _resolvent_residual(a: BlockOperator, d: BlockOperator, alg: VnAlgebra) -> float:
-    """Non-ideal support of a (i - D)^(-1)."""
-    idx, products = alg.nonideal_indices, []
-    for (_, ds), (_, st) in zip(d._stacks_of(idx), a._stacks_of(idx)):
-        eye = np.eye(ds.shape[-1])
-        products.append(st @ np.linalg.solve(1j * eye - ds, eye))
-    return _max_norm(products)
+def _resolvent(d: BlockOperator) -> BlockOperator:
+    """(i - D)^(-1), one solve per stack."""
+    stacks = []
+    for st in d._stacks:
+        eye = np.eye(st.shape[-1])
+        stacks.append(np.linalg.solve(1j * eye - st, eye))
+    return d._like(d.dims, stacks)
 
 
 def make_triple(
@@ -137,14 +136,13 @@ def make_triple(
     ):
         raise PreconditionError("the generating family must contain the unit")
 
-    residuals = {}
+    residuals, resolvent = {}, _resolvent(_quotient(d, alg))  # measured on the quotient
     for name, a in generators.items():
-        alg.require_conformal(a)
-        res = _resolvent_residual(a, d, alg)
+        res = (_quotient(a, alg) @ resolvent).norm()
         eps = _norm_eps(tol.proj_eps, tol.proj, (a,), res, report=True)
         residuals[name] = check_residual(f"a (i - D)^(-1) off the ideal, a = {name!r}", res, eps)
 
-    d = d._like(d._stacks, list(d._eig()))  # read by the bounded transform and the integrals
+    d = d._like(d.dims, d._stacks, list(d._eig()))  # read by the transform and the integrals
     f = bounded_transform(d, tol)
     return VnTriple(
         alg=alg,
@@ -180,9 +178,9 @@ def check_kasparov_module(
     comm, square, adj = {}, {}, {}
     for name, a in triple.generators.items():
         a = _quotient(a, alg)
-        comm[name] = quotient_norm(f @ a - a @ f, alg)
-        square[name] = quotient_norm(a @ square_defect, alg)
-        adj[name] = quotient_norm(a @ adjoint_defect, alg)
+        comm[name] = (f @ a - a @ f).norm()
+        square[name] = (a @ square_defect).norm()
+        adj[name] = (a @ adjoint_defect).norm()
     passed = all(
         v <= tol.gap for vals in (comm, square, adj) for v in vals.values()
     )
@@ -349,7 +347,7 @@ def sf_unitary_result(
     alg = triple.alg
     p = triple.p
     uq, pq = _quotient(u, alg), _quotient(p, alg)
-    commutator = quotient_norm(uq @ pq - pq @ uq, alg)
+    commutator = (uq @ pq - pq @ uq).norm()
     check_residual("[u, p] must be ideal-supported", commutator, tol.gap)
     lifted = boundary_map_result(p @ u @ p + (alg.identity() - p), alg, tol, eps_gap=10 * tol.gap)
     return replace(lifted, residuals={"commutator_quotient": commutator})
@@ -387,8 +385,8 @@ def sf_unbounded_result(
     worst = 0.0
     for t in grid:  # ascending from 0, so f0 is set first and ft ends as f1
         ft = bounded_transform(triple.D + a_path.at(t), tol)
-        f0 = ft if t == 0.0 else f0
-        drift = quotient_norm(ft - f0, alg)
+        f0, image0 = (ft, _quotient(ft, alg)) if t == 0.0 else (f0, image0)
+        drift = (_quotient(ft, alg) - image0).norm()
         worst = max(worst, check_residual(what, drift, tol.gap, ModelError, t=t))
 
     leaving, entering = relative_kernels(chi(f0, tol), chi(ft, tol), tol)

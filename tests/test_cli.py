@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnflow.cli import (
+    GENERATE_MAX_DIM,
     _build_parser,
     canonical_json,
     encode_algebra,
@@ -124,6 +125,41 @@ def test_unreadable_file_exits_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json", encoding="utf-8")
     assert main(["run", str(broken)]) == 2
+
+
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"task": "caf\xe9"}')
+    assert main(["run", str(latin)]) == 2
+    assert "cannot read task document" in capsys.readouterr().err
+
+
+def test_a_document_nested_beyond_the_recursion_limit_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main(["run", str(deep)]) == 2
+    assert "cannot read task document" in capsys.readouterr().err
+
+
+def test_a_nan_keyframe_time_exits_2(tmp_path, capsys):
+    doc = _calibration_doc()
+    doc["path"]["keyframes"].insert(1, {"t": float("nan"), "op": "B0"})
+    path = _write(tmp_path, "nan.json", doc)
+    assert "NaN" in open(path, encoding="utf-8").read()
+    assert main(["run", path]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
+def test_generate_refuses_a_block_above_the_cap(tmp_path, capsys):
+    # only values just above the cap run: an uncapped size would allocate
+    assert 2 * 64 + 1 <= GENERATE_MAX_DIM  # the corpora's largest Dirac window
+    m = GENERATE_MAX_DIM // 2 + 1  # 2m + 1 = GENERATE_MAX_DIM + 2
+    assert main(["generate", "dirac", "--m", str(m)]) == 2
+    assert main(["generate", "crossing", "--n", str(GENERATE_MAX_DIM + 1)]) == 2
+    doc = {"task": "generate", "model": "crossing", "n": GENERATE_MAX_DIM + 1}
+    assert main(["run", _write(tmp_path, "generate.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"exceeds {GENERATE_MAX_DIM}") == 3
 
 
 def test_noninvertible_quotient_path_exits_3(tmp_path, capsys):

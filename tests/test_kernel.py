@@ -968,6 +968,70 @@ def test_class_results_are_built_by_checked_class_of():
         assert direct == [], path.name
 
 
+# -- an operator is not assigned to once built ----------------------------------
+
+_CONSTRUCTORS = ("__init__", "_like")
+
+
+def _operator_assignments(tree: ast.AST) -> list[str]:
+    """Assignments and deletions of a ``BlockOperator`` slot, by statement or by
+    ``setattr`` / ``__setattr__``, outside the functions that build an operator."""
+    slots, found = set(BlockOperator.__slots__), []
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if func not in _CONSTRUCTORS:
+            name = None
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.Call) and len(node.args) >= 2:
+                f = node.func
+                called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                if called in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant):
+                    name = node.args[1].value
+            if name in slots:
+                found.append(f"line {node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_operator_is_assigned_to_after_construction(path):
+    """Only ``__init__`` and ``_like`` set an operator's slots; an operator has
+    no ``__dict__``, so no other attribute can be set at all."""
+    assert _operator_assignments(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_assignment_guard_sees_the_patterns():
+    # the quotient image patched after _like, a tuple target, setattr, an
+    # augmented assignment and a deletion, then the constructors and the caches it
+    # must accept
+    source = (
+        "def _quotient(op, alg):\n"
+        "    image = op._like([st for _, st in op._stacks_of(alg.nonideal_indices)])\n"
+        "    image.dims = tuple(op.dims[i] for i in alg.nonideal_indices)\n"
+        "    image._groups = _groups(image.dims)\n"
+        "def _reseed(op, seed, ranks):\n"
+        "    op._seed, op._ranks = seed, ranks\n"
+        "    object.__setattr__(op, '_cache', {})\n"
+        "    op._stacks += (seed,)\n"
+        "    del op.dims\n"
+        "def _like(dims, stacks):\n"
+        "    op = object.__new__(BlockOperator)\n"
+        "    op.dims, op._stacks, op._cache = dims, stacks, {}\n"
+        "def norm(self):\n"
+        "    self._cache['norm'] = _max_norm(self._stacks)\n"
+    )
+    assert len(_operator_assignments(ast.parse(source))) == 6
+    # the slot the patch set is gone, and an operator refuses any other attribute
+    with pytest.raises(AttributeError):
+        BlockOperator([np.eye(1)])._groups = ()
+
+
 def test_the_package_imports_without_scipy():
     """vnflow needs NumPy alone: importing it, or its CLI, loads no SciPy."""
     code = (

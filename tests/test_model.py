@@ -74,6 +74,14 @@ def test_path_validation():
         OperatorPath([(0.0, a), (0.5, b), (0.5, a), (1.0, b)])
 
 
+def test_a_nan_keyframe_time_is_rejected():
+    # NaN fails every comparison, so no "b <= a" catches it; "a < b" does
+    a = op(np.eye(2))
+    for times in ((0.0, np.nan, 1.0), (0.0, 0.5, np.nan, 1.0)):
+        with pytest.raises(ModelError, match="strictly increasing"):
+            OperatorPath([(t, a) for t in times])
+
+
 def test_path_keyframe_evaluation_is_exact():
     a, b = op(np.diag([1.0, -1.0])), op(np.diag([1.0, 1.0]))
     path = OperatorPath.linear(a, b)

@@ -12,6 +12,7 @@ from vnflow import (
     ModelError,
     PreconditionError,
     SpectralGapError,
+    Tolerances,
     boundary_map,
     cos_identity_check,
     dirac_circle,
@@ -26,6 +27,7 @@ from vnflow import (
     unitary_log,
     weighted_model,
 )
+from vnflow.model import check_residual
 
 from conftest import haar_unitary, op, random_projection, random_selfadjoint, single_block_alg
 
@@ -113,7 +115,7 @@ def test_cos_identity_quantitative_sweep():
         noise = random_selfadjoint(3, rng)
         noise *= delta / max(np.linalg.norm(noise, 2), 1e-15)
         q = op(p + noise)
-        residual = cos_identity_check(q, alg, eps_gap=10.0 * delta)
+        residual = cos_identity_check(q, alg, Tolerances(gap=10.0 * delta))
         assert residual <= 10.0 * delta
         assert residual > 0.0
 
@@ -327,14 +329,15 @@ def test_pairing_result_checks_each_unitarity_residual_once(monkeypatch):
     data = make_pairing_data(alg, p, u)
     calls = []
 
-    def counted(op, alg):
-        calls.append(op)
-        return quotient_norm(op, alg)
+    def counted(what, value, *args, **kwargs):
+        calls.append(what)
+        return check_residual(what, value, *args, **kwargs)
 
     for module in (vnflow.corner, vnflow.pairing):
-        monkeypatch.setattr(module, "quotient_norm", counted)
+        monkeypatch.setattr(module, "check_residual", counted)
     result = pairing_result(data)
-    assert len(calls) == 2
+    unitarity = "quotient image of the intermediate operator must be unitary"
+    assert calls == [f"{unitarity} (left)", f"{unitarity} (right)"]
     assert result.k0.is_zero
     # a direct caller still gets the check: a q that does not commute with p
     # leaves W far from quotient unitary

@@ -138,8 +138,32 @@ def test_products_of_quotient_images_are_the_images_of_products(model):
     b = BlockOperator([random_matrix(n, rng) for n in a.dims])
     qa, qb = _quotient(a, alg), _quotient(b, alg)
     assert qa.dims == tuple(a.dims[i] for i in alg.nonideal_indices)
-    assert quotient_norm(qa @ qb - qb @ qa, alg) == quotient_norm(a @ b - b @ a, alg)
-    assert quotient_norm(qb.H @ qb, alg) == quotient_norm(b.H @ b, alg)
+    assert (qa @ qb - qb @ qa).norm() == quotient_norm(a @ b - b @ a, alg)
+    assert (qb.H @ qb).norm() == quotient_norm(b.H @ b, alg)
+
+
+@st.composite
+def mixed_models(draw):
+    """An algebra in which one block dimension has both ideal and non-ideal
+    blocks, in drawn order, with a random operator on it."""
+    shared = draw(st.integers(1, 4))
+    others = draw(st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=4))
+    blocks = draw(st.permutations([(shared, True), (shared, False), *others]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alg = VnAlgebra(Block(n, in_ideal=i) for n, i in blocks)
+    return alg, BlockOperator([random_matrix(n, rng) for n in alg.dims])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_models())
+def test_a_quotient_image_is_the_operator_of_the_non_ideal_blocks(model):
+    alg, a = model
+    image = _quotient(a, alg)
+    built = BlockOperator([a.blocks[i] for i in alg.nonideal_indices])
+    assert image.dims == built.dims
+    for mine, ref in ((image._stacks, built._stacks), (image.blocks, built.blocks)):
+        assert all(np.array_equal(x, y) for x, y in zip(mine, ref, strict=True))
+    assert quotient_norm(a, alg) == built.norm()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
