@@ -3,8 +3,7 @@
 Input is a single JSON document naming an algebra, operators, and a task.
 Reports are serialized canonically (floats with 17 significant digits), so a
 rerun on identical input is byte-identical.  Exit codes: 0 success, 2 schema
-violation, 3 mathematical precondition failure, 4 internal consistency
-failure.
+violation, 3 mathematical precondition failure.
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConsistencyError,
-    ModelError,
-    NumericsError,
-    PreconditionError,
-    SchemaError,
-)
+from .errors import ModelError, NumericsError, PreconditionError, SchemaError
 from .model import (
     Block,
     BlockOperator,
@@ -645,9 +638,6 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ModelError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ConsistencyError as exc:
-        print(f"consistency error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

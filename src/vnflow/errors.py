@@ -13,7 +13,6 @@ __all__ = [
     "PathError",
     "PartitionError",
     "NumericsError",
-    "ConsistencyError",
 ]
 
 
@@ -61,7 +60,3 @@ class PartitionError(PathError):
 class NumericsError(VnFlowError):
     """A numerical procedure did not reach its certified tolerance."""
 
-
-class ConsistencyError(VnFlowError):
-    """A certificate and the computation it licenses disagreed: a flow step's
-    principal sine exceeds what the partition's Davis–Kahan bound promised."""

@@ -49,8 +49,9 @@ class Tolerances:
     ``proj`` and ``kernel`` are relative factors: the effective projection
     tolerance for an operand of norm ``n`` is ``proj * (1 + n)`` and the
     effective kernel threshold is ``kernel * max(1, n)``.  ``gap`` (Fredholm
-    gap) and ``intersection`` (eigenvalue +-1 of p - q, and principal sines) are
-    absolute.  ``margin`` and ``max_depth`` drive the partition search.
+    gap) is absolute.  ``intersection`` lies in (0, 1): ``relative_kernels``
+    keeps the eigenvalues of p - q beyond ``+-(1 - intersection)``.  ``margin``
+    and ``max_depth`` drive the partition search.
     """
 
     proj: float = 1e-8
@@ -75,6 +76,8 @@ class Tolerances:
                 valid = False
             if not valid:
                 raise ModelError(f"tolerance {name} must be finite and > 0, got {value}")
+        if not self.intersection < 1.0:
+            raise ModelError(f"tolerance intersection must lie in (0, 1), got {self.intersection}")
         if not 0.0 <= self.margin < 0.5:
             raise ModelError(f"tolerance margin must lie in [0, 1/2), got {self.margin}")
         if not self.max_depth >= 1:
@@ -225,22 +228,14 @@ def _chi_keep(op: "BlockOperator", tol: Tolerances) -> Callable[[np.ndarray], np
     return lambda w: w >= -_norm_eps(tol.kernel_eps, tol.kernel, (op,), -w)
 
 
-def _chi_counts(op: "BlockOperator", alg: "VnAlgebra", tol: Tolerances) -> tuple:
-    """chi's counts of kept eigenvalues of ``op`` in block order, and per stack of
-    non-ideal blocks their positions in ``alg.nonideal_indices`` and the range of
-    ``chi(op)`` without the projection: the eigenvectors with the columns chi
-    drops zeroed.  Ideal stacks take eigenvalues only; each call decomposes afresh."""
+def _chi_counts(op: "BlockOperator", alg: "VnAlgebra", tol: Tolerances) -> np.ndarray:
+    """chi's counts of kept eigenvalues of ``op`` on the ideal blocks, in the
+    order of ``alg.ideal_indices``: one ``eigvalsh`` per stack of ideal blocks."""
     op.require_selfadjoint("chi argument", tol)
-    keep, counts, bases = _chi_keep(op, tol), np.empty(len(op.dims), dtype=int), []
-    ideal, nonideal = alg.ideal_indices, alg.nonideal_indices
-    for pos, st in op._stacks_of(ideal):
-        counts[np.array(ideal)[pos]] = np.count_nonzero(keep(_eigvalsh(st)), axis=-1)
-    for pos, st in op._stacks_of(nonideal):
-        w, v = _eigh(st)
-        mask = keep(w)
-        counts[np.array(nonideal)[pos]] = np.count_nonzero(mask, axis=-1)
-        bases.append((pos, v * mask[..., None, :]))
-    return counts, bases
+    keep, counts = _chi_keep(op, tol), np.empty(alg.n_ideal, dtype=int)
+    for pos, st in op._stacks_of(alg.ideal_indices):
+        counts[pos] = np.count_nonzero(keep(_eigvalsh(st)), axis=-1)
+    return counts
 
 
 # The package's one residual check: every "residual <= tolerance" condition
@@ -273,25 +268,16 @@ def check_support(
     error=NotInIdealError,
 ) -> float:
     """Check that ``op`` vanishes on ``blocks``, reading only those: each block
-    norm is a residual, checked in the order of ``blocks``.  ``bound`` is a
-    number or a function of the array of block norms giving it.  Returns the
-    largest norm (0 for no blocks)."""
+    norm is a residual, checked in the order of ``blocks`` (the first that
+    fails raises).  ``bound`` is a number or a function of the array of block
+    norms giving it.  Returns the largest norm (0 for no blocks)."""
     blocks = tuple(blocks)
     norms = op._block_norms(blocks)
     if callable(bound):
         bound = bound(norms)
-    check_blocks(what, norms, bound, blocks, error)
+    for k in np.flatnonzero(~(norms <= bound))[:1]:
+        check_residual(what, float(norms[k]), bound, error, block=blocks[k])
     return float(norms.max(initial=0.0))
-
-
-def check_blocks(
-    what: str, values: np.ndarray, bound: float, blocks: Sequence[int], error=PreconditionError,
-    **where,
-) -> None:
-    """``check_residual`` of each value, the residual on the block at its place
-    in ``blocks``, in that order: the first that fails raises."""
-    for k in np.flatnonzero(~(values <= bound))[:1]:
-        check_residual(what, float(values[k]), bound, error, block=blocks[k], **where)
 
 
 def _norm_eps(

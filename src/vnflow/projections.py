@@ -9,8 +9,8 @@ The index routes are ``kernel_pair`` (the boundary map and the pairing),
 ``relative_kernels`` (``sf_unbounded_result``) and the compressed corner of
 ``corner.py`` (the corner index), which takes the kernels from the SVD of
 ``q``'s range basis times S times ``p``'s.  The spectral flow forms no
-projection: it reads its steps off chi's counts and, off the ideal, principal
-angles between the kept eigenbases of ``model._chi_counts``, with chi's mask.
+projection: it reads its steps off chi's counts on the ideal blocks
+(``model._chi_counts``), with chi's mask.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from .model import (
     check_residual,
     check_support,
 )
+from .flow import certify_path
 from .projections import chi, relative_kernels
 from .corner import boundary_map_result
 
@@ -57,7 +58,6 @@ __all__ = [
 
 _INTEGRAL_TARGET = 1e-8  # resolvent-integral quadrature budget at direct norms up to 10
 _LEVEL_VALUES = 2**20  # integrand values one level of that quadrature may evaluate
-_DRIFT_SAMPLES = 9  # equally spaced drift samples of sf_unbounded, besides the keyframes
 
 
 def bounded_transform(d: BlockOperator, tol: Tolerances = DEFAULT_TOL) -> BlockOperator:
@@ -365,11 +365,15 @@ def sf_unbounded_result(
 ) -> CheckedClass:
     """Spectral flow along t -> D + A_t, reduced to the endpoints.
 
-    The bounded transforms of all the perturbed operators must share one
-    quotient image; the drift is sampled at ``_DRIFT_SAMPLES`` equal steps and
-    at every keyframe, and its largest value is returned as ``quotient_drift``.
-    The class depends on the endpoints only and is the usual difference of
-    kernel intersections of the endpoint spectral projections, carried as
+    The bounded transforms of the perturbed operators must share one quotient
+    image.  That hypothesis is checked at the keyframes of A_t only, one
+    transform each (the full transform at the ends, the quotient image in
+    between), and its largest drift is returned as ``quotient_drift``; it
+    certifies nothing between the keyframes.  The proof is ``certify_path`` on
+    the path of D + A at those keyframes: by Weyl's inequality it keeps every
+    point invertible in the quotient, or raises ``PathError``.  The class
+    depends on the endpoints only and is the usual difference of kernel
+    intersections of the endpoint spectral projections, carried as
     ``kernel`` ((1 - p1) meet p0) and ``cokernel`` ((1 - p0) meet p1), both
     from one eigendecomposition of p0 - p1 (``relative_kernels``).
     """
@@ -378,18 +382,19 @@ def sf_unbounded_result(
         alg.require_conformal(op)
         op.require_selfadjoint(f"perturbation keyframe at t = {t:g}", tol)
 
-    grid = [0.0, 1.0]
-    if not alg.all_ideal:
-        grid = sorted(set(np.linspace(0.0, 1.0, _DRIFT_SAMPLES).tolist()) | set(a_path.times))
+    path = OperatorPath([(t, triple.D + op) for t, op in a_path.keyframes])
+    (_, d0), *inner, (_, d1) = path.keyframes
+    f0, f1 = bounded_transform(d0, tol), bounded_transform(d1, tol)
+    images = [bounded_transform(_quotient(d, alg), tol) for _, d in inner]
+    images = [_quotient(f0, alg), *images, _quotient(f1, alg)]
     what = "quotient image of the bounded transform must not drift"
     worst = 0.0
-    for t in grid:  # ascending from 0, so f0 is set first and ft ends as f1
-        ft = bounded_transform(triple.D + a_path.at(t), tol)
-        f0, image0 = (ft, _quotient(ft, alg)) if t == 0.0 else (f0, image0)
-        drift = (_quotient(ft, alg) - image0).norm()
+    for t, image in zip(path.times, images):
+        drift = (image - images[0]).norm()
         worst = max(worst, check_residual(what, drift, tol.gap, ModelError, t=t))
+    certify_path(path, alg, tol)
 
-    leaving, entering = relative_kernels(chi(f0, tol), chi(ft, tol), tol)
+    leaving, entering = relative_kernels(chi(f0, tol), chi(f1, tol), tol)
     return CheckedClass.of(leaving, entering, alg, tol, quotient_drift=worst)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from vnflow import (
@@ -146,7 +148,57 @@ def random_certified_path(seed: int, n_keyframes: int = 7):
 def flow_over(path, alg, partition) -> K0Class:
     """The flow's defining sum over a given partition: its steps' classes added up."""
     steps = _flow_over_partition(path, alg, partition, DEFAULT_TOL)
-    return sum((c for c, _ in steps), K0Class.zero(alg.n_ideal))
+    return sum(steps, K0Class.zero(alg.n_ideal))
+
+
+class BrokenPromise(AssertionError):
+    """A step of a partition off the ideal breaks the promise ``step_cosines``
+    checks: ``kind`` is "rank" or "sine", at the step ending at ``t``."""
+
+    def __init__(self, kind: str, t: float, block: int, value) -> None:
+        super().__init__(f"{kind} of a step at t = {t:g} on block {block}: {value}")
+        self.kind, self.t, self.block, self.value = kind, t, block, value
+
+
+def step_cosines(path, alg, partition, tol: Tolerances = DEFAULT_TOL) -> list[float]:
+    """Reference check of the promise a partition keeps off the ideal, from
+    principal angles (Björck and Golub, Math. Comp. 27, 1973).
+
+    Per step and non-ideal block, with ``M_P`` and ``M_Q`` chi's kept
+    eigenbases at its ends, ``rho`` singular values of ``M_Q* M_P`` lie above
+    ``sqrt(1 - (1 - intersection)^2)`` (the cut on the sines, the eigenvalues
+    of P - Q).  The promise is ``rho = r_P = r_Q`` (else a "rank" break: the
+    step's relative kernels are not 0 off the ideal) and a smallest kept
+    cosine of at least ``sqrt(1 - (1/2 - margin)^2)`` (else a "sine" break:
+    ``||P - Q|| > 1/2 - margin``).  Returns each step's smallest cosine, 1 for
+    none, or raises ``BrokenPromise`` at the first step and block that breaks
+    it."""
+    cut = math.sqrt(1.0 - (1.0 - tol.intersection) ** 2)
+    promise = math.sqrt(1.0 - (0.5 - tol.margin) ** 2)
+
+    def bases(t):
+        a = path.at(t)
+        eps = tol.kernel_eps(a.norm())
+        out = []
+        for i in alg.nonideal_indices:
+            w, v = np.linalg.eigh(0.5 * (a.blocks[i] + a.blocks[i].conj().T))
+            out.append(v[:, w >= -eps])
+        return out
+
+    least, prev = [], bases(partition[0])
+    for t in partition[1:]:
+        cur, step = bases(t), 1.0
+        for i, mp, mq in zip(alg.nonideal_indices, prev, cur):
+            s = np.linalg.svd(mq.conj().T @ mp, compute_uv=False)
+            kept = s[s > cut]
+            if not len(kept) == mp.shape[1] == mq.shape[1]:
+                raise BrokenPromise("rank", t, i, (len(kept), mp.shape[1], mq.shape[1]))
+            step = min(step, float(kept.min(initial=1.0)))
+            if step < promise:
+                raise BrokenPromise("sine", t, i, math.sqrt(1.0 - step * step))
+        least.append(step)
+        prev = cur
+    return least
 
 
 def endpoint_rank_oracle(path, alg) -> tuple[int, ...]:

@@ -463,7 +463,7 @@ def test_sf_unbounded_reports_the_drift_it_checked(tmp_path):
 
 
 def test_out_of_range_tolerances_exit_2(tmp_path):
-    for tolerances in ({"gap": -1}, {"margin": 0.6}, {"max_depth": 0}):
+    for tolerances in ({"gap": -1}, {"margin": 0.6}, {"max_depth": 0}, {"intersection": 1}):
         doc = _calibration_doc()
         doc["tolerances"] = tolerances
         assert main(["run", _write(tmp_path, "bad.json", doc)]) == 2

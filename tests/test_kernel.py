@@ -1087,19 +1087,22 @@ def test_eig_guard_sees_the_patterns():
     assert _eigh_uses(model)
 
 
-# -- the flow forms no projection ------------------------------------------------
+# -- the flow forms no projection and re-decides no quotient ------------------------
 
 _PROJECTION_ROUTES = ("chi", "kernel_pair", "proj_intersection", "relative_kernels")
+# what the evaluate stage decided the quotient with before the certificate alone did
+_QUOTIENT_DECIDERS = ("_svd", "_eigh", "check_blocks", "NotInIdealError", "ConsistencyError")
 
 
 def _projection_imports(tree: ast.AST) -> list[str]:
-    """Imports of the routes that form dense projections, and of the
-    ``projections`` module that holds them."""
+    """Imports of the routes that form dense projections, of the
+    ``projections`` module that holds them, and of the kernels and errors
+    that decided the quotient off the ideal."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in _PROJECTION_ROUTES + ("projections",):
+                if alias.name in _PROJECTION_ROUTES + _QUOTIENT_DECIDERS + ("projections",):
                     found.append(f"line {node.lineno}: {alias.name}")
         elif isinstance(node, ast.Import):
             names = [a.name for a in node.names if "projections" in a.name]
@@ -1108,21 +1111,24 @@ def _projection_imports(tree: ast.AST) -> list[str]:
 
 
 def test_the_flow_forms_no_projection():
-    """Steps are read off chi's counts and principal angles: flow.py reaches
-    none of the projection routes."""
+    """Steps are read off chi's counts on the ideal blocks: flow.py reaches
+    none of the projection routes, and no eigenbasis, SVD or error that would
+    re-decide what the certificate proved off the ideal."""
     assert _projection_imports(ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))) == []
 
 
 def test_projection_guard_sees_the_patterns():
     # the flow's imports before its steps came from principal angles, a module
-    # import, then the imports it must accept
+    # import, the kernels and errors of its former non-ideal checks, then the
+    # imports it must accept
     source = (
         "from .projections import chi, kernel_pair, proj_intersection, relative_kernels\n"
         "from . import projections\n"
         "import vnflow.projections\n"
-        "from .model import _chi_counts, _svd, check_blocks\n"
+        "from .model import _chi_counts, _eigh, _eigvalsh, _svd, check_blocks\n"
+        "from .errors import ConsistencyError, NotInIdealError, PartitionError, PathError\n"
     )
-    assert len(_projection_imports(ast.parse(source))) == 6
+    assert len(_projection_imports(ast.parse(source))) == 11
 
 
 # -- no per-block kernel loops where the blocks are stacked -----------------------

@@ -250,6 +250,7 @@ def test_tau_star_of_difference_matches_trace_difference():
         ("kernel", -1e-10),
         ("gap", float("inf")),
         ("intersection", float("nan")),
+        ("intersection", 1.0),
         ("margin", -0.01),
         ("margin", 0.5),
         ("max_depth", 0),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from vnflow import (
     BlockOperator,
     ModelError,
     OperatorPath,
+    PathError,
     PreconditionError,
     Tolerances,
     block_ranks,
@@ -29,6 +32,7 @@ from vnflow import (
     spectral_flow,
     weighted_model,
 )
+from vnflow.cli import encode_algebra, encode_operator, main
 
 from conftest import (
     affine_sf_unitary,
@@ -372,16 +376,16 @@ def test_sf_unbounded_drift_error_carries_fields():
     alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
     d = BlockOperator([np.diag([1.0, -1.0]), np.diag([1e9, -1e9])])
     triple = make_triple(alg, {"1": alg.identity()}, d)
-    # the non-ideal eigenvalue 1e9 - 2e9 t reaches 0 at the grid point t = 1/2,
-    # where its bounded transform has moved from 1 to 0
+    # the non-ideal eigenvalue 1e9 - 2e9 t ends at -1e9: at the keyframe t = 1
+    # its bounded transform has moved from 1 to -1
     bad = BlockOperator([np.zeros((2, 2)), np.diag([-2e9, 0.0])])
     with pytest.raises(ModelError) as err:
         sf_unbounded(triple, OperatorPath.linear(alg.zero(), bad))
     fields = err.value.fields
     assert fields["what"] == "quotient image of the bounded transform must not drift"
-    assert (fields["t"], fields["bound"]) == (0.5, 1e-8)
-    assert fields["value"] == pytest.approx(1.0)
-    assert str(err.value).endswith(": 1.000e+00 > 1.000e-08 at t = 0.5")
+    assert (fields["t"], fields["bound"]) == (1.0, 1e-8)
+    assert fields["value"] == pytest.approx(2.0)
+    assert str(err.value).endswith(": 2.000e+00 > 1.000e-08 at t = 1")
 
 
 def test_sf_unbounded_transforms_each_time_once(monkeypatch):
@@ -399,8 +403,101 @@ def test_sf_unbounded_transforms_each_time_once(monkeypatch):
 
     monkeypatch.setattr(vnflow.triples, "bounded_transform", counted)
     assert sf_unbounded(triple, path) == expected
-    # nine equally spaced drift samples, two of them the keyframes 0 and 1
-    assert len(calls) == 9
+    # one full transform at each of the keyframes 0 and 1
+    assert [c.dims for c in calls] == [triple.D.dims] * 2
+
+
+def test_sf_unbounded_transforms_the_quotient_between_the_ends(monkeypatch):
+    import vnflow.triples
+
+    triple, _ = _mixed_triple()
+    zero = triple.alg.zero()
+    path = OperatorPath([(0.0, zero), (0.25, zero), (0.5, zero), (1.0, zero)])
+    calls = []
+
+    def counted(d, tol):
+        calls.append(d.dims)
+        return bounded_transform(d, tol)
+
+    monkeypatch.setattr(vnflow.triples, "bounded_transform", counted)
+    result = sf_unbounded_result(triple, path)
+    assert result.k0.is_zero and result.residuals["quotient_drift"] == 0.0
+    # the ends' full transforms reach chi; the inner keyframes' quotient images
+    # reach only the drift check
+    assert calls == [(5, 4, 3), (5, 4, 3), (3,), (3,)]
+
+
+def _singular_quotient_case():
+    """D = 1 + diag(1e9, -1e9) off the ideal, and a path A_t whose keyframes
+    0, diag(-2e9, 2e9) at t = 1/2 and 0 swap the non-ideal eigenvalues and
+    back: D + A_t is 0 in the quotient at t = 1/4 and t = 3/4.  The bounded
+    transform drifts by 2 at t = 1/2, so a gap tolerance of 2.5 lets the
+    keyframe drift check pass."""
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    d = BlockOperator([np.eye(2), np.diag([1e9, -1e9])])
+    triple = make_triple(alg, {"1": alg.identity()}, d)
+    swap = BlockOperator([np.zeros((2, 2)), np.diag([-2e9, 2e9])])
+    path = OperatorPath([(0.0, alg.zero()), (0.5, swap), (1.0, alg.zero())])
+    return triple, path, Tolerances(gap=2.5)
+
+
+def test_sf_unbounded_through_a_singular_quotient_is_refused():
+    triple, path, loose = _singular_quotient_case()
+    with pytest.raises(PathError) as err:
+        sf_unbounded_result(triple, path, loose)
+    assert err.value.fields["t"] == 0.25
+    assert err.value.fields["gap"] == 0.0 and err.value.fields["bound"] == 2.5
+
+
+def test_sf_unbounded_through_a_singular_quotient_exits_3(tmp_path, capsys):
+    triple, path, loose = _singular_quotient_case()
+    ops = {"D": triple.D, "one": triple.alg.identity()}
+    ops.update((f"A{k}", a) for k, (_, a) in enumerate(path.keyframes))
+    doc = {
+        "task": "sf_unbounded",
+        "algebra": encode_algebra(triple.alg),
+        "operators": {name: encode_operator(a) for name, a in ops.items()},
+        "triple": {"D": "D", "generators": ["one"]},
+        "path": {"keyframes": [{"t": t, "op": f"A{k}"} for k, (t, _) in enumerate(path.keyframes)]},
+        "tolerances": {"gap": loose.gap},
+    }
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(task), "--out", str(tmp_path / "report.json")]) == 3
+    assert "leaves the selfadjoint Fredholm operators at t = 0.25" in capsys.readouterr().err
+
+
+def test_an_intersection_tolerance_of_1_or_more_is_refused(tmp_path, capsys):
+    # the cut of relative_kernels is 1 - intersection: at or below 0 both
+    # relative kernels would be the whole space and the class silently 0
+    triple, _ = dirac_circle(8, 1)
+    path = OperatorPath.linear(triple.alg.zero(), -3.5 * triple.alg.identity())
+    assert sf_unbounded(triple, path).ranks == (4,)
+    edge = Tolerances(intersection=1.0 - 1e-16)
+    assert edge.intersection < 1.0
+    assert sf_unbounded(triple, path, edge).ranks == (4,)
+    for value in (1.0, 2.5, 100):
+        with pytest.raises(ModelError, match=r"tolerance intersection must lie in \(0, 1\)"):
+            Tolerances(intersection=value)
+    doc = {
+        "task": "sf_unbounded",
+        "algebra": encode_algebra(triple.alg),
+        "operators": {
+            "D": encode_operator(triple.D),
+            "one": encode_operator(triple.alg.identity()),
+            "A0": encode_operator(triple.alg.zero()),
+            "A1": encode_operator(-3.5 * triple.alg.identity()),
+        },
+        "triple": {"D": "D", "generators": ["one"]},
+        "path": {"keyframes": [{"t": 0.0, "op": "A0"}, {"t": 1.0, "op": "A1"}]},
+    }
+    task, out = tmp_path / "task.json", tmp_path / "report.json"
+    for value, code in ((1.0 - 1e-16, 0), (1.0, 2), (2.5, 2)):
+        task.write_text(json.dumps({**doc, "tolerances": {"intersection": value}}), "utf-8")
+        assert main(["run", str(task), "--out", str(out)]) == code
+        if code == 0:
+            assert json.loads(out.read_text("utf-8"))["k0_class"] == [4]
+    assert "tolerance intersection must lie in (0, 1)" in capsys.readouterr().err
 
 
 # -- pushforward -----------------------------------------------------------------------
