@@ -11,19 +11,27 @@ Off the ideal the certificate settles it: Weyl's inequality keeps chi's rank
 fixed along the path, and the partition keeps ||P - Q|| < 1 on every step, so
 neither range meets the other's complement (Kato, Perturbation Theory for
 Linear Operators, I §4.6) and the index is 0 there.  No projection is formed.
+
+Each stage takes one kernel call per block size over all its points, not one
+per point: certify one ``eigvalsh`` per non-ideal stack over all keyframes
+(and one per bisection midpoint), one spectral norm per non-ideal stack over
+all keyframe segments (and one per half of a bisected segment) and one
+Frobenius norm per stack over all keyframes; evaluate one ``eigvalsh`` per
+ideal stack over all partition points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import PartitionError, PathError
-from .model import DEFAULT_TOL, K0Class, OperatorPath, Tolerances, VnAlgebra, _groups, tau_star
-from .model import _chi_counts, _eigvalsh, _norm_eps, _quotient
+from .model import DEFAULT_TOL, K0Class, OperatorPath, Tolerances, VnAlgebra, tau_star
+from .model import _chi_counts, _eigvalsh, _fill_norm_bounds, _norm_eps, _quotient
+from .model import _spectral_norm, _stacked
 
 __all__ = [
     "PathCertificate", "FlowStep", "FlowResult", "certify_path", "find_partition",
@@ -39,26 +47,34 @@ class _Spectra(dict):
     nonnegative eigenvalue, the smallest modulus of a negative one (inf for an
     empty side) and the number of negative eigenvalues (rows).
 
+    Every keyframe time is filled at once, from one ``eigvalsh`` per stack over
+    all keyframes; a time read later (a midpoint that certify or the partition
+    bisects at) is filled alone by the same body, one ``eigvalsh`` per stack.
+
     Splitting at 0 is chi's split wherever the path is certified: there every
     quotient eigenvalue is farther from 0 than chi's zero threshold."""
 
     def __init__(self, path: OperatorPath) -> None:
         super().__init__()
         self.path = path
+        self._fill(path.times, [op for _, op in path.keyframes])
 
     def __missing__(self, t: float) -> tuple[float, np.ndarray]:
-        op = self.path.at(t)
-        sides = np.empty((3, len(op.dims)))
-        gap = np.inf
-        for idx, st in zip(_groups(op.dims), op._stacks):
+        self._fill((t,), (self.path.at(t),))
+        return self[t]
+
+    def _fill(self, times: Sequence[float], ops: Sequence) -> None:
+        dims = self.path.dims
+        sides = np.empty((len(times), 3, len(dims)))
+        gap = np.full(len(times), np.inf)
+        for pos, st in _stacked(ops, tuple(range(len(dims)))):
             w = _eigvalsh(st)
             neg = w < 0.0
-            sides[0, idx] = np.minimum.reduce(np.where(neg, np.inf, w), axis=1)
-            sides[1, idx] = np.minimum.reduce(np.where(neg, -w, np.inf), axis=1)
-            sides[2, idx] = np.add.reduce(neg, axis=1)
-            gap = np.minimum(gap, np.minimum.reduce(np.abs(w), axis=None))
-        self[t] = (float(gap), sides)
-        return self[t]
+            sides[:, 0, pos] = np.minimum.reduce(np.where(neg, np.inf, w), axis=-1)
+            sides[:, 1, pos] = np.minimum.reduce(np.where(neg, -w, np.inf), axis=-1)
+            sides[:, 2, pos] = np.add.reduce(neg, axis=-1)
+            gap = np.minimum(gap, np.minimum.reduce(np.abs(w), axis=(1, 2)))
+        self.update(zip(times, zip(gap.tolist(), sides)))
 
 
 @dataclass(frozen=True)
@@ -122,12 +138,16 @@ def certify_path(
     if alg.all_ideal:
         return PathCertificate(vacuous=True, min_gap=math.inf, lipschitz=0.0, samples=path.times)
 
+    keyframes = [op for _, op in path.keyframes]
     images = OperatorPath([(t, _quotient(op, alg)) for t, op in path.keyframes])
     spectra = _Spectra(images)
     segments: list[tuple[float, float, np.ndarray]] = []
-    floor = _norm_eps(
-        lambda n: max(tol.gap, tol.kernel_eps(n)), tol.gap, (op for _, op in path.keyframes)
-    )
+    _fill_norm_bounds(keyframes)
+    floor = _norm_eps(lambda n: max(tol.gap, tol.kernel_eps(n)), tol.gap, keyframes)
+    blocks = tuple(range(len(images.dims)))
+    moves = np.empty((len(keyframes) - 1, len(blocks)))
+    for pos, st in _stacked([op for _, op in images.keyframes], blocks):
+        moves[:, pos] = _spectral_norm(np.diff(st, axis=0))
 
     def gap_at(t: float) -> float:
         g = spectra[t][0]
@@ -140,7 +160,7 @@ def certify_path(
         return g
 
     def movement(a: float, b: float) -> np.ndarray:
-        return (images.at(b) - images.at(a))._block_norms(tuple(range(len(images.dims))))
+        return (images.at(b) - images.at(a))._block_norms(blocks)
 
     def certify_segment(a: float, b: float, move: np.ndarray, depth: int) -> None:
         if (gap_at(a) + gap_at(b) - move.max()) / 2.0 > floor:
@@ -155,8 +175,7 @@ def certify_path(
 
     lipschitz = 0.0
     times = path.times
-    for t0, t1 in zip(times, times[1:]):
-        move = movement(t0, t1)
+    for t0, t1, move in zip(times, times[1:], moves):
         lipschitz = max(lipschitz, float(move.max()) / (t1 - t0))
         certify_segment(t0, t1, move, 0)
 
@@ -213,14 +232,11 @@ def _flow_over_partition(
     path: OperatorPath, alg: VnAlgebra, partition: list[float], tol: Tolerances
 ) -> list[K0Class]:
     """The terms of the defining sum: per step, ``r_P - r_Q`` from chi's counts
-    on the ideal blocks at its ends, whatever the angles between the ranges.
-    Off the ideal the terms are 0 on a partition ``find_partition`` made."""
-    rank_p, steps = _chi_counts(path.at(partition[0]), alg, tol), []
-    for t in partition[1:]:
-        rank_q = _chi_counts(path.at(t), alg, tol)
-        steps.append(K0Class(rank_p - rank_q))
-        rank_p = rank_q
-    return steps
+    on the ideal blocks at its ends, whatever the angles between the ranges,
+    the counts of all points taken together.  Off the ideal the terms are 0
+    on a partition ``find_partition`` made."""
+    counts = _chi_counts([path.at(t) for t in partition], alg, tol)
+    return [K0Class(step) for step in counts[:-1] - counts[1:]]
 
 
 def spectral_flow_result(

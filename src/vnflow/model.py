@@ -156,10 +156,11 @@ def _svd(mat: np.ndarray, compute_uv: bool = True):
 
 def _spectral_norm(mat: np.ndarray):
     """The spectral norm of a matrix (a float), or of each matrix of a stack
-    (an array).  An all-zero matrix or stack gets exact zeros without an SVD;
-    this covers the empty matrix, and a NaN is nonzero."""
+    (an array of the stack's leading shape).  An all-zero matrix or stack gets
+    exact zeros without an SVD; this covers the empty matrix, and a NaN is
+    nonzero."""
     if not mat.any():
-        return 0.0 if mat.ndim == 2 else np.zeros(len(mat))
+        return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
     try:
         norms = np.linalg.norm(mat, 2, axis=(-2, -1))
     except np.linalg.LinAlgError as exc:
@@ -228,13 +229,27 @@ def _chi_keep(op: "BlockOperator", tol: Tolerances) -> Callable[[np.ndarray], np
     return lambda w: w >= -_norm_eps(tol.kernel_eps, tol.kernel, (op,), -w)
 
 
-def _chi_counts(op: "BlockOperator", alg: "VnAlgebra", tol: Tolerances) -> np.ndarray:
-    """chi's counts of kept eigenvalues of ``op`` on the ideal blocks, in the
-    order of ``alg.ideal_indices``: one ``eigvalsh`` per stack of ideal blocks."""
-    op.require_selfadjoint("chi argument", tol)
-    keep, counts = _chi_keep(op, tol), np.empty(alg.n_ideal, dtype=int)
-    for pos, st in op._stacks_of(alg.ideal_indices):
-        counts[pos] = np.count_nonzero(keep(_eigvalsh(st)), axis=-1)
+def _chi_counts(ops: Sequence["BlockOperator"], alg: "VnAlgebra", tol: Tolerances) -> np.ndarray:
+    """chi's counts of kept eigenvalues on the ideal blocks of each operator of
+    ``ops``: a (points, n_ideal) array, columns in the order of
+    ``alg.ideal_indices``.  Each operator passes chi's selfadjointness check;
+    then one ``eigvalsh`` per stack of ideal blocks runs over every operator,
+    and chi's cut is applied once per operator, to all its eigenvalues: the
+    threshold ``_norm_eps`` returns decides each value as it would per stack."""
+    for op in ops:
+        op.require_selfadjoint("chi argument", tol)
+    counts = np.empty((len(ops), alg.n_ideal), dtype=int)
+    spectra = [(pos, _eigvalsh(st)) for pos, st in _stacked(ops, alg.ideal_indices)]
+    if not spectra:
+        return counts
+    _fill_norm_bounds(ops)
+    flat = np.concatenate([w.reshape(len(ops), -1) for _, w in spectra], axis=1)
+    kept = np.array([_chi_keep(op, tol)(row) for op, row in zip(ops, flat)])
+    start = 0
+    for pos, w in spectra:
+        stop = start + w[0].size
+        counts[:, pos] = np.count_nonzero(kept[:, start:stop].reshape(w.shape), axis=-1)
+        start = stop
     return counts
 
 
@@ -414,6 +429,33 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def _stacked(ops: Sequence["BlockOperator"], blocks: tuple[int, ...]) -> list:
+    """Per stack holding any of ``blocks``: the positions in ``blocks`` of its
+    blocks, and a (points, k, n, n) array of those blocks of each operator of
+    ``ops`` (all of one layout), so that one kernel call takes every point."""
+    out = []
+    for s, pos, rows in _selection(ops[0].dims, blocks):
+        st = np.array([op._stacks[s] for op in ops])
+        out.append((pos, st if rows is None else st[:, rows]))
+    return out
+
+
+def _fill_norm_bounds(ops: Sequence["BlockOperator"]) -> None:
+    """Cache ``_norm_bound()`` for each operator of ``ops`` (all of one layout)
+    that has neither its norm nor its bound yet, from one Frobenius norm call
+    per stack over all of them.  An overflow gives the bound inf, no warning:
+    ``_norm_eps`` then takes the exact norm."""
+    todo = [op for op in ops if "norm" not in op._cache and "fro" not in op._cache]
+    if not todo:
+        return
+    bound = np.zeros(len(todo))
+    with np.errstate(over="ignore"):
+        for _, st in _stacked(todo, tuple(range(len(todo[0].dims)))):
+            bound = np.maximum(bound, np.linalg.norm(st, axis=(-2, -1)).max(axis=1))
+    for op, value in zip(todo, bound.tolist()):
+        op._cache["fro"] = value
 
 
 class BlockOperator:
@@ -806,17 +848,6 @@ class OperatorPath:
         """The same path with additional keyframes at the given times."""
         ts = sorted(set(self._times) | {float(t) for t in extra_times})
         return OperatorPath([(t, self.at(t)) for t in ts])
-
-    def concatenated(self, other: "OperatorPath", atol: float = 1e-12) -> "OperatorPath":
-        """Run this path on [0, 1/2] and ``other`` on [1/2, 1].
-
-        The end of this path must coincide with the start of ``other``.
-        """
-        if not self.keyframes[-1][1].allclose(other.keyframes[0][1], atol=atol):
-            raise ModelError("concatenation point does not match")
-        frames = [(0.5 * t, op) for t, op in self.keyframes]
-        frames += [(0.5 + 0.5 * t, op) for t, op in other.keyframes[1:]]
-        return OperatorPath(frames)
 
 
 # -- model operations ---------------------------------------------------------

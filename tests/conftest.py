@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -11,12 +12,17 @@ from vnflow import (
     Block,
     BlockOperator,
     K0Class,
+    ModelError,
+    OperatorPath,
     Tolerances,
     VnAlgebra,
     boundary_map,
     corner_index_result,
+    flow,
+    spectral_flow_result,
 )
 from vnflow.flow import _flow_over_partition
+from vnflow.model import _chi_keep, _eigvalsh, _groups
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -84,6 +90,18 @@ def rotation_path(n: int, rng: np.random.Generator, speed: float):
         return (v * np.exp(-1j * speed * t * w)) @ v.conj().T
 
     return rot
+
+
+def concatenated(first, second, atol: float = 1e-12):
+    """Run ``first`` on [0, 1/2] and ``second`` on [1/2, 1].
+
+    The end of ``first`` must coincide with the start of ``second``.
+    """
+    if not first.keyframes[-1][1].allclose(second.keyframes[0][1], atol=atol):
+        raise ModelError("concatenation point does not match")
+    frames = [(0.5 * t, op) for t, op in first.keyframes]
+    frames += [(0.5 + 0.5 * t, op) for t, op in second.keyframes[1:]]
+    return OperatorPath(frames)
 
 
 def random_certified_path(seed: int, n_keyframes: int = 7):
@@ -213,3 +231,55 @@ def endpoint_rank_oracle(path, alg) -> tuple[int, ...]:
             deltas.append(int(np.count_nonzero(w >= -1e-12)))
         counts.append(deltas[0] - deltas[1])
     return tuple(counts)
+
+
+class SampledSpectra(dict):
+    """Reference for ``flow._Spectra``: the quotient spectrum filled one time
+    at a time, when it is first read, with one ``eigvalsh`` per stack."""
+
+    def __init__(self, path) -> None:
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, t: float):
+        op = self.path.at(t)
+        sides = np.empty((3, len(op.dims)))
+        gap = np.inf
+        for idx, st in zip(_groups(op.dims), op._stacks):
+            w = _eigvalsh(st)
+            neg = w < 0.0
+            sides[0, idx] = np.minimum.reduce(np.where(neg, np.inf, w), axis=1)
+            sides[1, idx] = np.minimum.reduce(np.where(neg, -w, np.inf), axis=1)
+            sides[2, idx] = np.add.reduce(neg, axis=1)
+            gap = np.minimum(gap, np.minimum.reduce(np.abs(w), axis=None))
+        self[t] = (float(gap), sides)
+        return self[t]
+
+
+def chi_counts_at(op, alg, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Reference for ``model._chi_counts`` at one point: chi's counts on the
+    ideal blocks, with chi's cut applied per stack of ideal blocks."""
+    op.require_selfadjoint("chi argument", tol)
+    keep, counts = _chi_keep(op, tol), np.empty(alg.n_ideal, dtype=int)
+    for pos, st in op._stacks_of(alg.ideal_indices):
+        counts[pos] = np.count_nonzero(keep(_eigvalsh(st)), axis=-1)
+    return counts
+
+
+def sampled_flow_result(path, alg, tol: Tolerances = DEFAULT_TOL):
+    """``spectral_flow_result`` with the spectra filled one time at a time and
+    chi's counts taken one point at a time (the references above)."""
+
+    def counts(ops, alg, tol):
+        return np.array([chi_counts_at(op, alg, tol) for op in ops]).reshape(len(ops), -1)
+
+    with mock.patch.object(flow, "_Spectra", SampledSpectra), \
+            mock.patch.object(flow, "_chi_counts", counts):
+        return spectral_flow_result(path, alg, tol)
+
+
+def segment_move(path, alg, a: float, b: float) -> np.ndarray:
+    """Reference for a certified segment's movement: the spectral norms of the
+    non-ideal blocks of ``A_b - A_a``, one call per stack."""
+    diff = path.at(b) - path.at(a)
+    return diff._block_norms(alg.nonideal_indices)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,7 @@ from vnflow.flow import _flow_over_partition
 
 from conftest import (
     BrokenPromise,
+    concatenated,
     endpoint_rank_oracle,
     flow_over,
     haar_unitary,
@@ -42,6 +44,8 @@ from conftest import (
     random_certified_path,
     random_selfadjoint,
     rotation_path,
+    sampled_flow_result,
+    segment_move,
     single_block_alg,
     step_cosines,
 )
@@ -377,19 +381,19 @@ def test_flow_additivity_at_an_interior_keyframe(seed, k):
     first, second = _split(path, k)
     halves = spectral_flow(first, alg) + spectral_flow(second, alg)
     assert spectral_flow(path, alg) == halves
-    assert spectral_flow(first.concatenated(second), alg) == halves
+    assert spectral_flow(concatenated(first, second), alg) == halves
 
 
 def test_flow_concatenation_additivity():
     alg = single_block_alg(2)
     first = _calibration_path()
     second = OperatorPath.linear(op(np.diag([1.0, 1.0])), op(np.diag([1.0, 3.0])))
-    joined = first.concatenated(second)
+    joined = concatenated(first, second)
     assert (
         spectral_flow(joined, alg)
         == spectral_flow(first, alg) + spectral_flow(second, alg)
     )
-    back = first.concatenated(first.reversed())
+    back = concatenated(first, first.reversed())
     assert spectral_flow(back, alg).is_zero
 
 
@@ -580,3 +584,108 @@ def test_a_long_path_off_the_ideal_is_certified_step_by_step(tmp_path):
     assert len(result.steps) > 290
     assert min(step_cosines(path, _TURN_ALG, result.partition)) < 0.99
     assert _run(tmp_path, path) == 0
+
+
+# -- one stacked call per block size per path -------------------------------------
+
+
+@st.composite
+def many_block_paths(draw):
+    """A model of 3-10 blocks of dimension 2 or 3, so that sizes repeat, with
+    mixed ideal flags, and a path of 2-7 keyframes on it: random selfadjoint
+    ideal blocks, and non-ideal blocks whose spectrum stays at modulus 0.4-1.5
+    while their eigenbasis turns, fast enough to bisect at times."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=3, max_size=10))
+    ideal = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    n_keyframes = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alg = weighted_model(dims, [1.0] * len(dims), ideal)
+    builders = []
+    for n, in_ideal in zip(dims, ideal):
+        if in_ideal:
+            ends = [random_selfadjoint(n, rng) for _ in range(n_keyframes)]
+            builders.append(lambda k, t, ends=ends: ends[k])
+        else:
+            levels = rng.uniform(0.4, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
+            rot = rotation_path(n, rng, speed=float(rng.uniform(0.0, 6.0)))
+            builders.append(lambda k, t, rot=rot, w=levels: (rot(t) * w) @ rot(t).conj().T)
+    times = np.linspace(0.0, 1.0, n_keyframes)
+    frames = []
+    for k, t in enumerate(times):
+        mats = [b(k, t) for b in builders]
+        frames.append((t, BlockOperator([0.5 * (m + m.conj().T) for m in mats])))
+    return alg, OperatorPath(frames)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except PathError as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.integers(0, 2**32 - 1).map(random_certified_path),
+        st.just((single_block_alg(2, ideal=False), _rotating_projection_path())),
+        many_block_paths(),
+    )
+)
+def test_the_stacked_flow_equals_the_flow_sampled_one_time_at_a_time(case):
+    """Filling every keyframe's spectrum, every keyframe segment's movement and
+    every partition point's counts with one call per stack gives bitwise the
+    gaps, sides, movements, partition and classes of one call per time."""
+    alg, path = case
+    result = _outcome(lambda: spectral_flow_result(path, alg))
+    reference = _outcome(lambda: sampled_flow_result(path, alg))
+    if isinstance(reference, PathError):
+        assert isinstance(result, PathError) and result.fields == reference.fields
+        return
+    assert result.partition == reference.partition
+    assert [s.contribution for s in result.steps] == [s.contribution for s in reference.steps]
+    assert _hex([s.gap_end for s in result.steps]) == _hex([s.gap_end for s in reference.steps])
+    cert, ref = result.certificate, reference.certificate
+    assert (cert.vacuous, cert.samples) == (ref.vacuous, ref.samples)
+    assert _hex([cert.min_gap, cert.lipschitz]) == _hex([ref.min_gap, ref.lipschitz])
+    assert sorted(cert.spectra) == sorted(ref.spectra)
+    for t, (gap, sides) in ref.spectra.items():
+        assert _hex([cert.spectra[t][0]]) == _hex([gap])
+        assert _hex(cert.spectra[t][1]) == _hex(sides)
+    assert [(a, b) for a, b, _ in cert.segments] == [(a, b) for a, b, _ in ref.segments]
+    for a, b, move in cert.segments:
+        assert _hex(move) == _hex(segment_move(path, alg, a, b))
+
+
+def test_a_bisection_fails_before_a_later_singular_keyframe():
+    """The spectra of every keyframe are computed up front, but the gaps are
+    still checked segment by segment, midpoints depth first: the first
+    segment's midpoint t = 1/4 is singular, and so is the keyframe t = 1, and
+    the error is raised at t = 1/4, as when each time is filled alone."""
+    alg = weighted_model([1, 2], [1.0, 1.0], [True, False])
+    path = OperatorPath([
+        (0.0, op(np.eye(1), np.diag([1.0, -0.2]))),
+        (0.5, op(np.eye(1), np.diag([1.0, 0.2]))),
+        (1.0, op(np.eye(1), np.diag([1.0, 0.0]))),
+    ])
+    with pytest.raises(PathError) as err:
+        spectral_flow_result(path, alg)
+    with pytest.raises(PathError) as ref:
+        sampled_flow_result(path, alg)
+    assert err.value.fields == ref.value.fields == {
+        "t": 0.25, "gap": 0.0, "bound": DEFAULT_TOL.gap,
+    }
+
+
+def test_an_overflowing_frobenius_bound_warns_nothing():
+    """A keyframe entry of 1e300 makes the stacked Frobenius bound overflow to
+    inf: the floor then takes the exact norm, silently, and the class holds."""
+    alg = weighted_model([1, 2], [1.0, 1.0], [False, True])
+    big = op(np.array([[1e300]]), np.diag([1.0, -1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral_flow(OperatorPath.linear(big, big), alg).ranks == (0,)

@@ -316,23 +316,48 @@ def test_route_budgets_on_a_single_block_dirac_triple(monkeypatch):
     assert isinstance(triple.commutator_norms, MappingProxyType)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_a_flow_takes_one_eigh_per_point_and_one_svd_per_step(monkeypatch, seed):
-    """The flow takes no eigendecomposition and no SVD: at each partition
-    point chi's counts from the eigenvalues of each stack of ideal blocks, and
-    the certify stage's eigenvalues of each non-ideal stack at each time it
-    read.  No projection is decomposed and no overlap formed: the certificate
-    settles the non-ideal blocks."""
-    alg, path = random_certified_path(seed)
+def _bisecting_path():
+    """A mixed path whose one segment is split once, at t = 1/2."""
+    alg = weighted_model([2, 2], [1.0, 1.0], [True, False])
+    return alg, OperatorPath.linear(
+        BlockOperator([np.diag([1.0, -1.0]), np.diag([3.0, -0.1])]),
+        BlockOperator([np.diag([-1.0, -1.0]), np.diag([0.1, -3.0])]),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(seed, n) for n in (2, 7) for seed in range(6)] + ["bisecting"],
+    ids=lambda case: case if isinstance(case, str) else f"seed{case[0]}-keyframes{case[1]}",
+)
+def test_a_flow_takes_one_stacked_call_per_stack_and_one_per_bisection(monkeypatch, case):
+    """The flow takes no eigendecomposition and no SVD.  It takes one
+    ``eigvalsh`` per stack of ideal blocks over all partition points (chi's
+    counts), one per stack of non-ideal blocks over all keyframes (the certify
+    stage's spectra), and one more per such stack at each midpoint that
+    certify or the partition bisects at; and one spectral norm per stack of
+    non-ideal blocks over all keyframe segments, and one more per such stack
+    for each half of a segment that certify bisects.  With 7 keyframes one
+    call per sample would take 7 ``eigvalsh`` and 6 norms per stack."""
+    alg, path = _bisecting_path() if case == "bisecting" else random_certified_path(*case)
     dims = path.keyframes[0][1].dims
     ideal = len(_selection(dims, alg.ideal_indices))
     nonideal = len(_selection(dims, alg.nonideal_indices))
     calls = _counting(monkeypatch)
     result = spectral_flow_result(path, alg)
-    points, read = len(result.partition), len(result.certificate.spectra)
-    assert len(calls["eigh"]) == 0
-    assert len(calls["svd"]) == 0
-    assert len(calls["eigvalsh"]) == ideal * points + nonideal * read
+    # midpoints read by certify's or find_partition's bisection; each certify
+    # bisection adds one segment and moves two halves
+    midpoints = len(result.certificate.spectra) - len(path.times)
+    movements = 2 * (len(result.certificate.segments) - (len(path.times) - 1))
+    assert _budget(calls) == {
+        "eigh": 0,
+        "eigvalsh": ideal + nonideal * (1 + midpoints),
+        "svd": 0,
+        "schur": 0,
+        "norm2": nonideal * (1 + movements),
+    }
+    if case == "bisecting":
+        assert (midpoints, movements, ideal, nonideal) == (3, 2, 1, 1)
 
 
 def test_a_corner_index_takes_one_svd_per_mask_group(monkeypatch):
